@@ -7,7 +7,8 @@
 //! order of magnitude apart, and a zero-clone kernel shows (near-)constant
 //! allocations per event while a clone-collect kernel grows linearly with
 //! the candidate count. `scripts/bench_snapshot.sh` folds the output into
-//! `BENCH_6.json` and enforces the flat-slope check.
+//! the snapshot and enforces the flat-slope check, plus the detector's
+//! allocations per probe.
 //!
 //! Usage: `alloc_audit [--quick]` (`--quick` shrinks event counts for CI).
 
@@ -16,7 +17,7 @@ use std::time::Instant;
 
 use cq_bench::alloc_count;
 use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, Vltt};
-use cq_engine::{Algorithm, EngineConfig, Matches, Network};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Matches, Network, SuspicionConfig};
 use cq_overlay::Id;
 use cq_relational::{
     parse_query, Catalog, DataType, QueryKey, QueryRef, RelationSchema, RewrittenQuery, Side,
@@ -261,10 +262,63 @@ fn audit_socket_pump(size: usize, events: u64) -> Row {
     })
 }
 
+/// The failure detector's steady state on an idle, lossy network of `size`
+/// nodes: heartbeat rounds, probe round trips through the fault pump,
+/// deadline sweeps and anti-entropy rounds served from the digest cache.
+/// One event is one probe sent (a ping, plus its pong when both survive);
+/// after a warm-up that sizes the watch table, the wheel buckets and the
+/// dedup bitmaps, allocations per probe must stay near zero and flat in
+/// the ring size. The timeouts span eight heartbeat rounds, so 10% loss
+/// never gets a live node confirmed: a confirmation triggers ring
+/// stabilization, which is the overlay's cost, not the detector's.
+fn audit_detector_tick(size: usize, ticks: u64) -> Row {
+    let mut fault = FaultConfig::lossy(0.1, 7);
+    fault.replication = 2;
+    let suspicion = SuspicionConfig::active()
+        .with_suspect_after(32)
+        .with_confirm_after(32);
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::DaiT)
+            .with_nodes(size)
+            .with_seed(7)
+            .with_fault(fault)
+            .with_suspicion(suspicion),
+        catalog(),
+    );
+    let sql = "SELECT R.A, S.D FROM R, S WHERE R.B = S.C";
+    for i in 0..8 {
+        let poser = net.node_at(i * size / 8);
+        net.pose_query_sql(poser, sql).unwrap();
+    }
+    for i in 0..16i64 {
+        let from = net.node_at(i as usize % size);
+        net.insert_tuple(from, "R", vec![Value::Int(i), Value::Int(i % 4)])
+            .unwrap();
+    }
+    net.pump_ticks(ticks / 4).unwrap();
+    let probes0 = net.recovery_counters().heartbeats_sent;
+    let a0 = alloc_count::allocations();
+    let t0 = Instant::now();
+    net.pump_ticks(ticks).unwrap();
+    let dt = t0.elapsed();
+    let allocs = alloc_count::allocations() - a0;
+    let probes = net.recovery_counters().heartbeats_sent - probes0;
+    let ns = dt.as_nanos() as f64 / probes as f64;
+    Row {
+        kernel: "detector-tick",
+        size,
+        events: probes,
+        ns_per_event: ns,
+        events_per_sec: 1e9 / ns,
+        allocs_per_event: cfg!(feature = "count-allocs").then(|| allocs as f64 / probes as f64),
+    }
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let cat = catalog();
     let (scan_events, e2e_events) = if quick { (200, 200) } else { (2_000, 5_000) };
+    let detector_ticks = if quick { 400 } else { 4_000 };
     let rows = [
         audit_vltt_scan(&cat, 1_000, scan_events),
         audit_vltt_scan(&cat, 10_000, scan_events.max(200) / 10),
@@ -275,6 +329,8 @@ fn main() {
         audit_insert_e2e(50, e2e_events, true),
         audit_insert_e2e(50, e2e_events, false),
         audit_socket_pump(256, e2e_events),
+        audit_detector_tick(64, detector_ticks),
+        audit_detector_tick(640, detector_ticks),
     ];
     println!("{{");
     println!("  \"count_allocs\": {},", cfg!(feature = "count-allocs"));

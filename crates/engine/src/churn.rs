@@ -25,8 +25,10 @@ impl Network {
             .first_alive_successor(h)
             .ok_or(EngineError::UnknownNode)?;
         self.ring.leave(h)?;
+        self.marks.replica(h);
         if succ != h {
             self.transfer_all(h, succ)?;
+            self.marks.replica(succ);
             let inherited = self.nodes[h.index()].replicas.drain_items();
             let store = &mut self.nodes[succ.index()].replicas;
             for item in inherited {
@@ -54,6 +56,8 @@ impl Network {
         let node = h.index() as u32;
         let tick = self.trace_tick();
         self.trace(|| TraceEvent::NodeFailed { tick, node });
+        self.marks.primary(h);
+        self.marks.replica(h);
         let tracing = self.trace_on();
         let st = &mut self.nodes[h.index()];
         let wiped: [(&'static str, u64); 4] = [
@@ -118,15 +122,16 @@ impl Network {
         }
         let handles: Vec<NodeHandle> = self.ring.alive_nodes().collect();
         for h in handles {
-            let promoted = {
-                let ring = &self.ring;
-                self.nodes[h.index()]
-                    .replicas
-                    .take_owned(|id| ring.owns(h, id))
-            };
+            let (lo, hi) = self.ring.owned_range(h)?;
+            let space = self.ring.space();
+            let promoted = self.nodes[h.index()]
+                .replicas
+                .take_owned(|id| space.in_open_closed(id, lo, hi));
             if promoted.is_empty() {
                 continue;
             }
+            self.marks.primary(h);
+            self.marks.replica(h);
             self.metrics.faults.replicas_promoted += promoted.len() as u64;
             let (tick, node, items) = (self.trace_tick(), h.index() as u32, promoted.len() as u64);
             self.trace(|| TraceEvent::Promote { tick, node, items });
@@ -190,6 +195,7 @@ impl Network {
             self.transfer_matching(succ, h, in_range)?;
         }
         // Missed notifications addressed to us move into the inbox.
+        self.marks.primary(h);
         let me = self.ring.node(h).key().to_string();
         let st = &mut self.nodes[h.index()];
         let mut kept = Vec::new();
@@ -216,6 +222,8 @@ impl Network {
         pred: impl Fn(Id) -> bool + Copy,
     ) -> Result<()> {
         debug_assert_ne!(from, to);
+        self.marks.primary(from);
+        self.marks.primary(to);
         let (a, b) = (from.index(), to.index());
         let mut moved = 0u64;
         {

@@ -17,8 +17,29 @@
 //! With [`FaultConfig::default`] the layer is completely inert: messages take
 //! the original perfect-FIFO path and every run is byte-identical to a build
 //! without this module.
+//!
+//! # Cost model
+//!
+//! The pump's bookkeeping costs time in proportion to the traffic it moves,
+//! never to how long the run has been going:
+//!
+//! * **Dedup windows are bitmaps.** A [`DedupWindow`] is an exact seen-set
+//!   stored as a base plus a sliding bitmap of `u64` words: O(1) per insert
+//!   or lookup, one bit per sender sequence number. Its floor (the lowest
+//!   unseen number) normally *stalls*: sequence numbers are allocated per
+//!   sender across all of its receivers, so one receiver never sees the
+//!   numbers its sender addressed elsewhere, and the floor stops at the
+//!   first of those. A sparse set above the floor would then grow by one
+//!   tree node per arrival forever; the bitmap grows by one bit per number
+//!   the sender allocates.
+//! * **In-flight copies sit on a tick wheel.** Every copy is scheduled
+//!   between 1 and `max_delay + 1` ticks ahead (acks exactly 1), so a wheel
+//!   of `max_delay + 2` reused buckets holds every pending arrival, indexed
+//!   by `tick % horizon`; the bucket being drained is never the one a copy
+//!   scheduled during that drain lands in. `FaultPipe::schedule`
+//!   debug-asserts the horizon.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 use cq_fasthash::FxHashMap;
 use rand::rngs::StdRng;
@@ -43,7 +64,8 @@ pub struct FaultConfig {
     /// reordering relative to later messages.
     pub delay_rate: f64,
     /// Maximum extra delay in ticks for a delayed transmission (the actual
-    /// delay is drawn uniformly from `1..=max_delay`).
+    /// delay is drawn uniformly from `1..=max_delay`). With `delay_rate > 0`
+    /// the pump's tick wheel holds `max_delay + 2` buckets.
     pub max_delay: u64,
     /// Per-tick probability of one abrupt node failure while the message
     /// pump runs.
@@ -213,33 +235,55 @@ impl FaultConfig {
 /// A message identifier: `(sender slot, per-sender sequence number)`.
 pub type MsgId = (u32, u64);
 
-/// Per-sender receive-side dedup window: a low-water mark plus the set of
-/// out-of-order sequence numbers seen above it. Memory stays proportional to
-/// the reordering window, not to the total message count.
+/// Per-sender receive-side dedup window: an exact set of the sender's
+/// sequence numbers seen at one receiver, stored as a base plus a sliding
+/// bitmap. Every number below `base` has been seen; bit `i` of word `w`
+/// records `base + 64 * w + i`. Whole words of seen numbers slide off the
+/// front, so [`DedupWindow::check_and_record`] is O(1) amortized.
+///
+/// Storage is at most one bit per sequence number between the floor and
+/// the highest number received. The floor usually stalls (see the module
+/// docs: a receiver never sees the numbers its sender addressed to other
+/// nodes), so in practice the window costs one bit per number the sender
+/// has allocated. Sequence numbers must be allocated densely from zero, as
+/// the fault pipe does; a number far above everything seen allocates the
+/// bitmap up to it.
 #[derive(Clone, Debug, Default)]
 pub struct DedupWindow {
-    /// Every sequence number `< floor` has been seen.
-    floor: u64,
-    /// Seen sequence numbers `>= floor` (sparse, above the water mark).
-    above: BTreeSet<u64>,
+    /// Every sequence number `< base` has been seen; a multiple of 64.
+    base: u64,
+    /// Seen-bits for `base..`, 64 sequence numbers per word.
+    bits: VecDeque<u64>,
 }
 
 impl DedupWindow {
     /// Records `seq`; returns `true` if it was seen before (a duplicate).
     pub fn check_and_record(&mut self, seq: u64) -> bool {
-        if seq < self.floor || self.above.contains(&seq) {
+        let Some(off) = seq.checked_sub(self.base) else {
+            return true;
+        };
+        let word = (off / 64) as usize;
+        let bit = 1u64 << (off % 64);
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
+        }
+        if self.bits[word] & bit != 0 {
             return true;
         }
-        self.above.insert(seq);
-        while self.above.remove(&self.floor) {
-            self.floor += 1;
+        self.bits[word] |= bit;
+        while self.bits.front() == Some(&u64::MAX) {
+            self.bits.pop_front();
+            self.base += 64;
         }
         false
     }
 
-    /// Number of out-of-order entries currently buffered above the mark.
+    /// Number of sequence numbers seen above the floor (the lowest number
+    /// not yet seen): the out-of-order arrivals the window is holding.
     pub fn pending(&self) -> usize {
-        self.above.len()
+        let seen: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
+        let below_floor = self.bits.front().map_or(0, |w| w.trailing_ones());
+        (seen - below_floor) as usize
     }
 }
 
@@ -310,8 +354,10 @@ pub(crate) struct FaultPipe {
     pub tick: u64,
     /// Per-sender-slot next sequence number.
     pub next_seq: Vec<u64>,
-    /// Deliveries scheduled per tick, in deterministic insertion order.
-    pub in_flight: BTreeMap<u64, Vec<Delivery>>,
+    /// The tick wheel: deliveries scheduled for tick `t` sit in bucket
+    /// `t % in_flight.len()`, in deterministic insertion order. Buckets are
+    /// drained in place and keep their capacity.
+    in_flight: Vec<Vec<Delivery>>,
     /// Retransmission checks scheduled per tick.
     pub retry_at: BTreeMap<u64, Vec<MsgId>>,
     /// Unacknowledged messages by identifier.
@@ -356,12 +402,23 @@ impl FaultPipe {
                 }
             }
         }
+        // Copies land 1..=max_delay+1 ticks ahead (delays are drawn only
+        // when delay_rate > 0); one more bucket holds the tick being drained.
+        let max_delay = if cfg.delay_rate > 0.0 {
+            cfg.max_delay
+        } else {
+            0
+        };
+        let horizon = usize::try_from(max_delay)
+            .ok()
+            .and_then(|d| d.checked_add(2))
+            .expect("max_delay must fit the tick wheel");
         FaultPipe {
             cfg,
             rng,
             tick: 0,
             next_seq: vec![0; slots],
-            in_flight: BTreeMap::new(),
+            in_flight: (0..horizon).map(|_| Vec::new()).collect(),
             retry_at: BTreeMap::new(),
             outstanding: FxHashMap::default(),
             dedup: (0..slots).map(|_| FxHashMap::default()).collect(),
@@ -432,19 +489,42 @@ impl FaultPipe {
         self.outstanding.insert(id, o);
     }
 
-    /// Schedules a delivery at an absolute tick.
+    /// Schedules a delivery at an absolute tick, which must lie inside the
+    /// wheel's horizon: after the current tick and at most
+    /// `in_flight.len() - 1` ticks ahead.
     pub fn schedule(&mut self, at: u64, delivery: Delivery) {
+        let horizon = self.in_flight.len() as u64;
+        debug_assert!(
+            at > self.tick && at - self.tick < horizon,
+            "delivery at tick {at} outside the wheel horizon {horizon} from tick {}",
+            self.tick
+        );
         if !delivery.is_probe() {
             self.nonprobe_in_flight += 1;
         }
-        self.in_flight.entry(at).or_default().push(delivery);
+        self.in_flight[(at % horizon) as usize].push(delivery);
     }
 
-    /// Accounts for deliveries just removed from `in_flight` (the pump
-    /// calls this with each tick's batch before handing copies out).
-    pub fn note_removed(&mut self, deliveries: &[Delivery]) {
-        let nonprobe = deliveries.iter().filter(|d| !d.is_probe()).count();
+    /// Detaches the deliveries due at the current tick, in scheduling
+    /// order, and accounts for them as no longer in flight. Hand the
+    /// drained bucket back with [`FaultPipe::restore_due`] to keep its
+    /// capacity.
+    pub fn take_due(&mut self) -> Vec<Delivery> {
+        let slot = (self.tick % self.in_flight.len() as u64) as usize;
+        let batch = std::mem::take(&mut self.in_flight[slot]);
+        let nonprobe = batch.iter().filter(|d| !d.is_probe()).count();
         self.nonprobe_in_flight -= nonprobe;
+        batch
+    }
+
+    /// Returns the drained bucket [`FaultPipe::take_due`] detached. Nothing
+    /// can have been scheduled into it meanwhile: every delivery lands at
+    /// least one tick ahead and at most `horizon - 1`.
+    pub fn restore_due(&mut self, bucket: Vec<Delivery>) {
+        debug_assert!(bucket.is_empty(), "restore a drained bucket");
+        let slot = (self.tick % self.in_flight.len() as u64) as usize;
+        debug_assert!(self.in_flight[slot].is_empty(), "the wheel horizon held");
+        self.in_flight[slot] = bucket;
     }
 
     /// Schedules a retransmission check for `id` at an absolute tick.
@@ -470,6 +550,8 @@ impl FaultPipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn default_config_is_inert() {
@@ -511,6 +593,118 @@ mod tests {
         assert_eq!(w.pending(), 0, "floor advanced past 3");
         assert!(w.check_and_record(2));
         assert!(w.check_and_record(3));
+    }
+
+    /// Bits of bitmap `w` holds (64 per word).
+    fn bitmap_bits(w: &DedupWindow) -> u64 {
+        w.bits.len() as u64 * 64
+    }
+
+    /// Checks a window fed `stream` against a naive seen-set: identical
+    /// answers, `pending` equal to the seen numbers above the model's
+    /// floor, and at most one bitmap bit per sequence number up to the
+    /// highest one received (rounded up to a whole word).
+    fn check_against_model(stream: &[u64]) -> std::result::Result<(), TestCaseError> {
+        let mut w = DedupWindow::default();
+        let mut model: HashSet<u64> = HashSet::new();
+        for &seq in stream {
+            prop_assert_eq!(w.check_and_record(seq), !model.insert(seq), "seq {}", seq);
+        }
+        let floor = (0..).find(|n| !model.contains(n)).unwrap();
+        let above = model.iter().filter(|&&n| n > floor).count();
+        prop_assert_eq!(w.pending(), above);
+        let max = stream.iter().max().map_or(0, |m| m + 1);
+        prop_assert!(
+            bitmap_bits(&w) <= max.div_ceil(64) * 64,
+            "{} bits",
+            bitmap_bits(&w)
+        );
+        for &seq in stream {
+            prop_assert!(
+                w.check_and_record(seq),
+                "replayed {} must be a duplicate",
+                seq
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dedup_window_matches_a_naive_set_on_scattered_streams(
+            stream in prop::collection::vec(0u64..2_000, 0..1_500),
+        ) {
+            // Uniform draws: arbitrary order, many gaps, many duplicates.
+            check_against_model(&stream)?;
+        }
+
+        #[test]
+        fn dedup_window_matches_a_naive_set_on_reordered_streams(
+            jitter in prop::collection::vec(0u64..24, 0..3_000),
+            resend in prop::collection::vec(0u64..3_000, 0..300),
+            gap in 0u64..3,
+        ) {
+            // Every number of 0..n, each displaced by at most 24 places,
+            // so the floor slides and whole words pop off the front; then
+            // re-sends of earlier numbers scattered through the stream, and
+            // (for gap > 0) a hole in the middle where the floor stalls.
+            let n = jitter.len() as u64;
+            let mut order: Vec<(u64, u64)> =
+                (0..n).zip(&jitter).map(|(i, j)| (i + j, i)).collect();
+            order.sort_unstable();
+            let hole = n / 2..n / 2 + 40 * gap;
+            let mut stream: Vec<u64> = order
+                .into_iter()
+                .map(|(_, i)| i)
+                .filter(|i| !hole.contains(i))
+                .collect();
+            for (k, r) in resend.iter().enumerate() {
+                if n > 0 {
+                    stream.insert(k * 7_919 % (stream.len() + 1), r % n);
+                }
+            }
+            check_against_model(&stream)?;
+            if gap == 0 {
+                // A contiguous range leaves nothing above the floor.
+                let mut w = DedupWindow::default();
+                for &seq in &stream {
+                    w.check_and_record(seq);
+                }
+                prop_assert_eq!(w.pending(), 0);
+                prop_assert!(bitmap_bits(&w) <= 64, "{} bits left", bitmap_bits(&w));
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_window_stays_one_bit_per_number_when_the_floor_stalls() {
+        // One sender's sequence numbers spread over four receivers, as the
+        // pipe allocates them: each receiver sees a quarter of them, so its
+        // floor stalls at the first number addressed elsewhere and never
+        // moves again. Storage must stay at one bit per number.
+        const SEQS: u64 = 100_000;
+        let mut windows: Vec<DedupWindow> = vec![DedupWindow::default(); 4];
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut to = Vec::with_capacity(SEQS as usize);
+        for seq in 0..SEQS {
+            let r = rng.gen_range(0..4usize);
+            to.push(r);
+            assert!(!windows[r].check_and_record(seq), "fresh {seq}");
+        }
+        for (seq, &r) in to.iter().enumerate() {
+            assert!(windows[r].check_and_record(seq as u64), "dup {seq}");
+        }
+        for (r, w) in windows.iter().enumerate() {
+            let got = to.iter().filter(|&&x| x == r).count();
+            assert!(w.pending() + 64 >= got, "receiver {r}: the floor stalled");
+            assert!(
+                bitmap_bits(w) <= SEQS.div_ceil(64) * 64,
+                "receiver {r} holds {} bits for {SEQS} numbers",
+                bitmap_bits(w)
+            );
+        }
     }
 
     #[test]

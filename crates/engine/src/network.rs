@@ -33,7 +33,7 @@ use crate::messages::Message;
 use crate::metrics::Metrics;
 use crate::node::NodeState;
 use crate::protocol::{Effect, NodeCtx, Protocol};
-use crate::recovery::Recovery;
+use crate::recovery::{ChangeMarks, Recovery};
 use crate::replication::ReplicaItem;
 use crate::tables::StoredQuery;
 use crate::trace::{TraceEvent, TraceSink};
@@ -74,6 +74,9 @@ pub struct Network {
     /// The in-protocol failure detector (`engine::recovery`); `None` (the
     /// default) leaves failure handling to oracle `stabilize` calls.
     pub(crate) recovery: Option<Box<Recovery>>,
+    /// Per-slot change marks the detector's digest cache checks; empty
+    /// without a detector.
+    pub(crate) marks: ChangeMarks,
     /// `Key(n) → handle` for notification delivery.
     pub(crate) subscribers: FxHashMap<String, NodeHandle>,
     /// Log of every posed query (for oracles and tests).
@@ -109,7 +112,12 @@ impl Network {
         let recovery = config
             .suspicion
             .enabled
-            .then(|| Box::new(Recovery::new(config.suspicion)));
+            .then(|| Box::new(Recovery::new(config.suspicion, slots)));
+        let marks = if config.suspicion.enabled {
+            ChangeMarks::new(slots)
+        } else {
+            ChangeMarks::default()
+        };
         Network {
             config,
             catalog,
@@ -126,6 +134,7 @@ impl Network {
             trace_seq: Vec::new(),
             transport: ActiveTransport::Sim(SimTransport::new(pipe)),
             recovery,
+            marks,
             subscribers: FxHashMap::default(),
             posed_queries: Vec::new(),
             inserted_tuples: Vec::new(),
@@ -437,6 +446,9 @@ impl Network {
     where
         F: FnOnce(&dyn Protocol, &mut NodeCtx<'_>) -> Result<()>,
     {
+        // Handlers write only their own node's state; any of it may be
+        // digested by anti-entropy.
+        self.marks.primary(at);
         let protocol = Arc::clone(&self.protocol);
         let mut outbox = std::mem::take(&mut self.outbox);
         debug_assert!(outbox.is_empty(), "outbox drained after every handler");
@@ -491,6 +503,7 @@ impl Network {
                     index_side,
                     index_attr,
                 };
+                self.marks.primary(at);
                 if self.repl_k() > 0 {
                     let fresh = self.nodes[at.index()].alqt.insert(entry.clone());
                     self.trace_index_insert(at, "alqt", fresh);
@@ -542,6 +555,7 @@ impl Network {
                         );
                     }
                 }
+                self.marks.primary(at);
                 let store = &mut self.nodes[at.index()].offline_store;
                 store.extend(notifications.into_iter().map(|n| (subscriber_id, n)));
                 Ok(())
@@ -558,7 +572,10 @@ impl Network {
                 self.nodes[at.index()].inbox.extend(notifications);
                 Ok(())
             }
-            Message::Replicate { item } => self.nodes[at.index()].replicas.insert(*item),
+            Message::Replicate { item } => {
+                self.marks.replica(at);
+                self.nodes[at.index()].replicas.insert(*item)
+            }
             Message::Ping { from, seq } => {
                 // Heartbeat probe: answer directly to the prober. The pong
                 // is itself a probe message — fire-and-forget, never acked.

@@ -27,8 +27,46 @@
 //!
 //! With [`SuspicionConfig::default`] (disabled) none of this exists at
 //! runtime and every run is byte-identical to the pre-detection engine.
-
-use std::collections::BTreeMap;
+//!
+//! # Cost model
+//!
+//! The detector costs time in proportion to what changed, not to the size
+//! of the ring or the length of the run:
+//!
+//! * **Dense watch table.** Open watches live in one row per prober slot,
+//!   each row sorted by target, so a probe's watch is opened or closed
+//!   with a binary search in a row of about `r` entries (the successor-list
+//!   length) and rows keep their capacity. Walking the rows in slot order
+//!   visits watches in (prober, target) order, the order suspicion and
+//!   confirmation events are emitted in. A heartbeat round reuses one
+//!   scratch list of alive nodes and reads each successor list in place.
+//! * **Deadline-gated sweep.** The table records the earliest tick any
+//!   watch can move on (`next_due`); on every earlier tick the sweep is a
+//!   comparison. A pong can close the watch that set `next_due`, which
+//!   makes the gate early (one sweep that changes nothing), never late.
+//!   Watches of probers that died are dropped on the first tick after the
+//!   ring's membership epoch moves, unless the prober has rejoined.
+//! * **Cached digests.** Anti-entropy keeps each primary's digest and each
+//!   (primary, successor) replica digest with the ring epoch and the
+//!   `ChangeMarks` generation they were computed at. An entry is stale
+//!   when (1) the ring membership epoch moved (ownership ranges and
+//!   successor sets are functions of membership alone), (2) the digested
+//!   side's change mark moved: the primary mark for a primary digest, the
+//!   successor's replica mark for a replica digest, or (3) promotion moved
+//!   replicas into the promoting node's tables, which bumps both of its
+//!   marks. Marks are bumped by every path that writes node state:
+//!   `dispatch` (query indexing, offline stores, replica mirroring), every
+//!   protocol handler run at its node, transfers on leave and rejoin, the
+//!   offline-store drain on reconnect, the replica handover on leave, and
+//!   failures. A miss re-hashes the node's items with one
+//!   [`cq_overlay::Ring::owned_range`] interval test per item. Debug builds
+//!   recompute every cached digest the uncached way at the top of each
+//!   round and assert equality.
+//!
+//! Per tick the detector therefore costs O(1) when no watch is due and one
+//! pass over the open watches when some are; per heartbeat round, O(1) per
+//! probe; per anti-entropy round, one cache probe per (primary, successor)
+//! pair plus re-hashing only the nodes whose state or ownership changed.
 
 use cq_fasthash::FxHashMap;
 use cq_fasthash::FxHashSet;
@@ -129,6 +167,87 @@ enum WatchState {
     },
 }
 
+/// One open watch in a prober's row of the watch table.
+#[derive(Clone, Copy, Debug)]
+struct Watch {
+    /// The probed node's slot.
+    target: u32,
+    /// Where the watch stands.
+    state: WatchState,
+}
+
+impl Watch {
+    /// The tick at which the watch moves on: waiting → suspected, or
+    /// suspected → confirmed.
+    fn deadline(&self, cfg: &SuspicionConfig) -> u64 {
+        match self.state {
+            WatchState::Waiting { sent_at } => sent_at.saturating_add(cfg.suspect_after),
+            WatchState::Suspected { suspected_at } => {
+                suspected_at.saturating_add(cfg.confirm_after)
+            }
+        }
+    }
+}
+
+/// An anti-entropy digest, valid while the ring epoch and the generation
+/// of the state it summarizes are the ones it was computed at.
+#[derive(Clone, Copy, Debug)]
+struct CachedDigest {
+    /// [`cq_overlay::Ring::epoch`] at computation.
+    epoch: u64,
+    /// The [`ChangeMarks`] generation of the digested state.
+    generation: u64,
+    /// `(entry count, commutative hash sum)`.
+    digest: (u64, u64),
+}
+
+impl CachedDigest {
+    /// The digest, if it is still current.
+    fn current(&self, epoch: u64, generation: u64) -> Option<(u64, u64)> {
+        (self.epoch == epoch && self.generation == generation).then_some(self.digest)
+    }
+}
+
+/// Per-slot change marks for the anti-entropy digest cache: a generation
+/// counter for each node's primary state and one for its replica store,
+/// bumped by every path that mutates them (`dispatch`, protocol handlers,
+/// promotion, transfers, leaves, failures, rejoins). Held by [`Network`]
+/// rather than [`Recovery`] because promotion runs while the detector is
+/// detached. Empty, and every bump a no-op, unless a detector is installed.
+#[derive(Debug, Default)]
+pub(crate) struct ChangeMarks {
+    /// Primary-state generation per slot.
+    primary: Vec<u64>,
+    /// Replica-store generation per slot.
+    replica: Vec<u64>,
+}
+
+impl ChangeMarks {
+    /// Marks for `slots` node slots, all at generation zero.
+    pub(crate) fn new(slots: usize) -> Self {
+        ChangeMarks {
+            primary: vec![0; slots],
+            replica: vec![0; slots],
+        }
+    }
+
+    /// Records a change to `h`'s primary tables or offline store.
+    #[inline]
+    pub(crate) fn primary(&mut self, h: NodeHandle) {
+        if let Some(g) = self.primary.get_mut(h.index()) {
+            *g += 1;
+        }
+    }
+
+    /// Records a change to `h`'s replica store.
+    #[inline]
+    pub(crate) fn replica(&mut self, h: NodeHandle) {
+        if let Some(g) = self.replica.get_mut(h.index()) {
+            *g += 1;
+        }
+    }
+}
+
 /// Runtime state of the failure detector. Owned by [`Network`] when
 /// [`SuspicionConfig::enabled`] is set; absent otherwise.
 #[derive(Debug)]
@@ -142,9 +261,23 @@ pub(crate) struct Recovery {
     /// Probe sequence counter (shared across nodes; probes are
     /// fire-and-forget so uniqueness is all that matters).
     probe_seq: u64,
-    /// Active watches, keyed `(prober slot, target slot)`. A `BTreeMap`
-    /// so deadline sweeps iterate in a deterministic order.
-    watches: BTreeMap<(u32, u32), WatchState>,
+    /// Open watches, one row per prober slot, each row sorted by target:
+    /// walking the rows in slot order visits watches in (prober, target)
+    /// order, the order sweeps emit events in.
+    watches: Vec<Vec<Watch>>,
+    /// No watch falls due before this tick, so the sweep is skipped until
+    /// then. A pong may remove the watch that set it, which only makes it
+    /// early (one sweep that finds nothing), never late.
+    next_due: u64,
+    /// The ring epoch at which dead probers' watches were last dropped.
+    swept_epoch: Option<u64>,
+    /// Scratch list of alive nodes for heartbeat and anti-entropy rounds.
+    alive: Vec<NodeHandle>,
+    /// Cached digest of each primary's owned state, by slot.
+    primary_digests: Vec<Option<CachedDigest>>,
+    /// Cached digests of the replicas each primary's successors hold for
+    /// its range: by primary slot, then `(successor slot, digest)`.
+    replica_digests: Vec<Vec<(u32, CachedDigest)>>,
     /// Failed-but-not-yet-confirmed nodes: slot → (failure pump tick,
     /// failure logical clock). Metrics/window bookkeeping only — the
     /// protocol never reads this map to decide anything, or the detector
@@ -163,13 +296,18 @@ pub(crate) struct Recovery {
 }
 
 impl Recovery {
-    /// Fresh detector state.
-    pub(crate) fn new(cfg: SuspicionConfig) -> Self {
+    /// Fresh detector state for `slots` node slots.
+    pub(crate) fn new(cfg: SuspicionConfig, slots: usize) -> Self {
         Recovery {
             cfg,
             now: 0,
             probe_seq: 0,
-            watches: BTreeMap::new(),
+            watches: vec![Vec::new(); slots],
+            next_due: u64::MAX,
+            swept_epoch: None,
+            alive: Vec::new(),
+            primary_digests: vec![None; slots],
+            replica_digests: vec![Vec::new(); slots],
             undetected: FxHashMap::default(),
             windows: Vec::new(),
             repair_pending: Vec::new(),
@@ -182,6 +320,52 @@ impl Recovery {
     /// yet confirmed, or confirmed but not yet verified repaired).
     pub(crate) fn pending(&self) -> bool {
         !self.undetected.is_empty() || !self.repair_pending.is_empty()
+    }
+
+    /// Opens a waiting watch `prober → target` unless one is already open
+    /// (a re-ping never resets the clock).
+    fn watch(&mut self, prober: u32, target: u32) {
+        let row = &mut self.watches[prober as usize];
+        if let Err(i) = row.binary_search_by_key(&target, |w| w.target) {
+            let w = Watch {
+                target,
+                state: WatchState::Waiting { sent_at: self.now },
+            };
+            self.next_due = self.next_due.min(w.deadline(&self.cfg));
+            row.insert(i, w);
+        }
+    }
+
+    /// Closes the watch `prober → target`, returning its state if it was
+    /// open.
+    fn unwatch(&mut self, prober: u32, target: u32) -> Option<WatchState> {
+        let row = &mut self.watches[prober as usize];
+        let i = row.binary_search_by_key(&target, |w| w.target).ok()?;
+        Some(row.remove(i).state)
+    }
+
+    /// The cached digest of `s`'s replicas of `p`'s range, if current.
+    fn cached_replica(
+        &self,
+        p: NodeHandle,
+        s: NodeHandle,
+        epoch: u64,
+        generation: u64,
+    ) -> Option<(u64, u64)> {
+        let s = s.index() as u32;
+        self.replica_digests[p.index()]
+            .iter()
+            .find(|(t, _)| *t == s)
+            .and_then(|(_, c)| c.current(epoch, generation))
+    }
+
+    /// Caches the digest of `s`'s replicas of `p`'s range, dropping
+    /// entries from older epochs (their successors may have changed).
+    fn store_replica(&mut self, p: NodeHandle, s: NodeHandle, c: CachedDigest) {
+        let s = s.index() as u32;
+        let row = &mut self.replica_digests[p.index()];
+        row.retain(|(t, e)| *t != s && e.epoch == c.epoch);
+        row.push((s, c));
     }
 }
 
@@ -285,10 +469,7 @@ impl Network {
         };
         let node = prober.index() as u32;
         let now = rec.now;
-        let was_suspected = matches!(
-            rec.watches.remove(&(node, from)),
-            Some(WatchState::Suspected { .. })
-        );
+        let was_suspected = matches!(rec.unwatch(node, from), Some(WatchState::Suspected { .. }));
         if was_suspected {
             self.metrics.recovery.false_suspects += 1;
             self.trace(|| TraceEvent::FalseSuspect {
@@ -326,22 +507,17 @@ impl Network {
             return Ok(());
         }
         rec.next_heartbeat = rec.now + rec.cfg.heartbeat_every.max(1);
-        let probers: Vec<NodeHandle> = self.ring.alive_nodes().collect();
-        for p in probers {
+        rec.alive.clear();
+        rec.alive.extend(self.ring.alive_nodes());
+        for i in 0..rec.alive.len() {
+            let p = rec.alive[i];
             let slot = p.index() as u32;
-            let targets: Vec<NodeHandle> = self
-                .ring
-                .node(p)
-                .successor_list()
-                .iter()
-                .copied()
-                .filter(|t| *t != p)
-                .collect();
-            for t in targets {
-                let tslot = t.index() as u32;
-                rec.watches
-                    .entry((slot, tslot))
-                    .or_insert(WatchState::Waiting { sent_at: rec.now });
+            for j in 0..self.ring.node(p).successor_list().len() {
+                let t = self.ring.node(p).successor_list()[j];
+                if t == p {
+                    continue;
+                }
+                rec.watch(slot, t.index() as u32);
                 let seq = rec.probe_seq;
                 rec.probe_seq += 1;
                 self.metrics.recovery.heartbeats_sent += 1;
@@ -355,37 +531,46 @@ impl Network {
     /// confirmation removes the watch, triggers stabilization + replica
     /// promotion, and — when the target really was dead — closes the
     /// detection window and opens a repair episode.
+    ///
+    /// Runs on every tick but walks the table only once `next_due` has
+    /// come; watches of probers that died are dropped at the first tick
+    /// after the membership change (a rejoined prober keeps them).
     fn sweep_deadlines(&mut self, rec: &mut Recovery) -> Result<()> {
+        let epoch = self.ring.epoch();
+        if rec.swept_epoch != Some(epoch) {
+            rec.swept_epoch = Some(epoch);
+            for (p, row) in rec.watches.iter_mut().enumerate() {
+                if !row.is_empty() && !self.ring.node(NodeHandle::from_index(p)).is_alive() {
+                    row.clear();
+                }
+            }
+        }
         let now = rec.now;
+        if now < rec.next_due {
+            return Ok(());
+        }
+        let mut next_due = u64::MAX;
         let mut confirmed: Vec<(u32, u32)> = Vec::new();
         let mut suspected: Vec<(u32, u32)> = Vec::new();
-        let mut dead_probers: Vec<(u32, u32)> = Vec::new();
-        for (&(p, t), state) in rec.watches.iter_mut() {
-            if !self
-                .ring
-                .node(NodeHandle::from_index(p as usize))
-                .is_alive()
-            {
-                dead_probers.push((p, t));
-                continue;
-            }
-            match *state {
-                WatchState::Waiting { sent_at } => {
-                    if now >= sent_at + rec.cfg.suspect_after {
-                        *state = WatchState::Suspected { suspected_at: now };
-                        suspected.push((p, t));
+        for (p, row) in rec.watches.iter_mut().enumerate() {
+            let p = p as u32;
+            for w in row.iter_mut() {
+                if now >= w.deadline(&rec.cfg) {
+                    match w.state {
+                        WatchState::Waiting { .. } => {
+                            w.state = WatchState::Suspected { suspected_at: now };
+                            suspected.push((p, w.target));
+                        }
+                        WatchState::Suspected { .. } => {
+                            confirmed.push((p, w.target));
+                            continue;
+                        }
                     }
                 }
-                WatchState::Suspected { suspected_at } => {
-                    if now >= suspected_at + rec.cfg.confirm_after {
-                        confirmed.push((p, t));
-                    }
-                }
+                next_due = next_due.min(w.deadline(&rec.cfg));
             }
         }
-        for key in dead_probers {
-            rec.watches.remove(&key);
-        }
+        rec.next_due = next_due;
         for (p, t) in suspected {
             self.metrics.recovery.suspects += 1;
             self.trace(|| TraceEvent::Suspect {
@@ -396,7 +581,7 @@ impl Network {
         }
         let mut repaired = false;
         for (p, t) in confirmed {
-            rec.watches.remove(&(p, t));
+            rec.unwatch(p, t);
             let dead = !self
                 .ring
                 .node(NodeHandle::from_index(t as usize))
@@ -442,52 +627,98 @@ impl Network {
     /// against each of its `k` successors' replica stores and re-mirrors
     /// only the missing items. A globally clean round (nothing missing
     /// anywhere) closes all open repair episodes.
+    ///
+    /// Digests come from the cache unless the ring epoch or the digested
+    /// state's [`ChangeMarks`] generation moved since they were computed;
+    /// a miss re-hashes with one owned-range interval test per item.
+    /// Debug builds recompute every digest the parent's way and assert the
+    /// cached value equals it.
     fn anti_entropy_round(&mut self, rec: &mut Recovery) -> Result<()> {
         let k = self.repl_k();
         if k == 0 || rec.cfg.anti_entropy_every == 0 || rec.now < rec.next_anti_entropy {
             return Ok(());
         }
         rec.next_anti_entropy = rec.now + rec.cfg.anti_entropy_every;
+        #[cfg(debug_assertions)]
+        self.assert_digest_cache_fresh(rec);
         let now = rec.now;
+        let epoch = self.ring.epoch();
+        let space = self.ring.space();
+        let tracing = self.trace_on();
         // Plan immutably first (digests borrow node state), then send.
         let mut plans: Vec<(NodeHandle, NodeHandle, Vec<ReplicaItem>)> = Vec::new();
         let mut exchanges: Vec<(u32, u32, u64, u64)> = Vec::new();
-        {
-            let ring = &self.ring;
-            let primaries: Vec<NodeHandle> = ring.alive_nodes().collect();
-            for p in primaries {
-                let succs = ring.successors_of(p, k);
-                if succs.is_empty() {
-                    continue;
+        let mut exchanged = 0u64;
+        rec.alive.clear();
+        rec.alive.extend(self.ring.alive_nodes());
+        let n = rec.alive.len();
+        for i in 0..n {
+            let p = rec.alive[i];
+            // `Ring::successors_of(p, k)` for an alive `p`: the next alive
+            // nodes in identifier order, wrapping, never `p` itself.
+            let succs = k.min(n - 1);
+            if succs == 0 {
+                continue;
+            }
+            let (lo, hi) = self.ring.owned_range(p)?;
+            let owned = move |id: Id| space.in_open_closed(id, lo, hi);
+            let generation = self.marks.primary[p.index()];
+            let cached = &mut rec.primary_digests[p.index()];
+            let pdig = match cached.and_then(|c| c.current(epoch, generation)) {
+                Some(d) => d,
+                None => {
+                    let digest = digest_of(&primary_hashes(&self.nodes[p.index()], owned));
+                    *cached = Some(CachedDigest {
+                        epoch,
+                        generation,
+                        digest,
+                    });
+                    digest
                 }
-                let owned = |id: Id| ring.owns(p, id);
-                let primary = primary_hashes(&self.nodes[p.index()], owned);
-                let pdig = digest_of(&primary);
-                for s in succs {
-                    let sdig = self.nodes[s.index()].replicas.digest_where(owned);
-                    let missing = if sdig == pdig {
-                        Vec::new()
-                    } else {
-                        let mut have = FxHashSet::default();
-                        self.nodes[s.index()]
-                            .replicas
-                            .hashes_where(owned, &mut have);
-                        missing_primary_items(&self.nodes[p.index()], owned, &have)
-                    };
+            };
+            for j in 1..=succs {
+                let s = rec.alive[(i + j) % n];
+                let store = &self.nodes[s.index()].replicas;
+                let generation = self.marks.replica[s.index()];
+                let sdig = match rec.cached_replica(p, s, epoch, generation) {
+                    Some(d) => d,
+                    None => {
+                        let digest = store.digest_where(owned);
+                        rec.store_replica(
+                            p,
+                            s,
+                            CachedDigest {
+                                epoch,
+                                generation,
+                                digest,
+                            },
+                        );
+                        digest
+                    }
+                };
+                let missing = if sdig == pdig {
+                    Vec::new()
+                } else {
+                    let mut have = FxHashSet::default();
+                    store.hashes_where(owned, &mut have);
+                    missing_primary_items(&self.nodes[p.index()], owned, &have)
+                };
+                exchanged += 1;
+                if tracing {
                     exchanges.push((
                         p.index() as u32,
                         s.index() as u32,
                         pdig.0,
                         missing.len() as u64,
                     ));
-                    if !missing.is_empty() {
-                        plans.push((p, s, missing));
-                    }
+                }
+                if !missing.is_empty() {
+                    plans.push((p, s, missing));
                 }
             }
         }
+        self.metrics.recovery.digest_exchanges += exchanged;
         for (node, to, items, missing) in exchanges {
-            self.metrics.recovery.digest_exchanges += 1;
             self.trace(|| TraceEvent::DigestExchange {
                 tick: now,
                 node,
@@ -530,6 +761,43 @@ impl Network {
         Ok(())
     }
 
+    /// Recomputes every digest the cache would serve as current, the
+    /// uncached way (one [`cq_overlay::Ring::owns`] lookup per item), and
+    /// panics on the first that differs. Debug builds run this at the top
+    /// of every anti-entropy round, so a mutation path that misses its
+    /// change mark fails whichever test exercises it.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_digest_cache_fresh(&self, rec: &Recovery) {
+        let epoch = self.ring.epoch();
+        for (slot, cached) in rec.primary_digests.iter().enumerate() {
+            let generation = self.marks.primary[slot];
+            let Some(digest) = cached.and_then(|c| c.current(epoch, generation)) else {
+                continue;
+            };
+            let p = NodeHandle::from_index(slot);
+            let fresh = digest_of(&primary_hashes(&self.nodes[slot], |id| {
+                self.ring.owns(p, id)
+            }));
+            assert_eq!(digest, fresh, "stale cached primary digest of slot {slot}");
+        }
+        for (slot, row) in rec.replica_digests.iter().enumerate() {
+            let p = NodeHandle::from_index(slot);
+            for &(s, cached) in row {
+                let s = s as usize;
+                let Some(digest) = cached.current(epoch, self.marks.replica[s]) else {
+                    continue;
+                };
+                let fresh = self.nodes[s]
+                    .replicas
+                    .digest_where(|id| self.ring.owns(p, id));
+                assert_eq!(
+                    digest, fresh,
+                    "stale cached digest of slot {s}'s replicas for primary {slot}"
+                );
+            }
+        }
+    }
+
     /// Drives the pump until the detector has confirmed every outstanding
     /// failure and verified its repair — forcing empty ticks if no protocol
     /// traffic keeps the clock moving. A no-op without a detector. Errors
@@ -559,22 +827,35 @@ impl Network {
                 });
                 break;
             }
-            let drained = loop {
-                match self.transport.next_delivery() {
-                    Ok(Some(p)) => self.transmit(&mut pipe, p),
-                    Ok(None) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            if let Err(e) = drained {
-                result = Err(e);
-                break;
-            }
-            if let Err(e) = self.pump_tick(&mut pipe) {
+            if let Err(e) = self.force_tick(&mut pipe) {
                 result = Err(e);
                 break;
             }
         }
+        self.transport.restore_pipe(pipe);
+        result
+    }
+
+    /// One forced pump tick: folds queued sends into the pipe, then ticks.
+    fn force_tick(&mut self, pipe: &mut FaultPipe) -> Result<()> {
+        while let Some(p) = self.transport.next_delivery()? {
+            self.transmit(pipe, p);
+        }
+        self.pump_tick(pipe)
+    }
+
+    /// Forces `ticks` pump ticks whether or not any work is pending, so
+    /// heartbeats, deadlines and digest rounds advance on an idle network
+    /// (test and benchmark hook). A no-op without a detector.
+    #[doc(hidden)]
+    pub fn pump_ticks(&mut self, ticks: u64) -> Result<()> {
+        if self.recovery.is_none() {
+            return Ok(());
+        }
+        let Some(mut pipe) = self.transport.take_pipe() else {
+            return Ok(());
+        };
+        let result = (0..ticks).try_for_each(|_| self.force_tick(&mut pipe));
         self.transport.restore_pipe(pipe);
         result
     }
@@ -662,9 +943,108 @@ mod tests {
         assert_eq!((cfg.suspect_after, cfg.confirm_after), (6, 9));
     }
 
+    use crate::{Algorithm, EngineConfig, FaultConfig};
+    use cq_relational::{Catalog, DataType, RelationSchema, Value};
+
+    /// Panics if any digest the cache would serve is stale.
+    fn assert_fresh(net: &Network) {
+        let rec = net.recovery.as_deref().expect("detector installed");
+        net.assert_digest_cache_fresh(rec);
+    }
+
+    /// Runs one anti-entropy round and checks the cache it leaves behind.
+    fn round(net: &mut Network) {
+        net.anti_entropy_now().unwrap();
+        assert_fresh(net);
+    }
+
+    #[test]
+    fn digest_cache_survives_mutations_that_bypass_dispatch() {
+        // Between two anti-entropy rounds: a voluntary leave hands replicas
+        // over, a reconnecting subscriber drains its offline notifications,
+        // and a detected failure promotes replicas. None of these arrive
+        // through `dispatch`; each must invalidate what it changes.
+        let mut c = Catalog::new();
+        c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
+            .unwrap();
+        c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
+            .unwrap();
+        let fault = FaultConfig {
+            replication: 2,
+            ..FaultConfig::default()
+        };
+        let mut net = Network::new(
+            EngineConfig::new(Algorithm::DaiT)
+                .with_nodes(24)
+                .with_seed(5)
+                .with_fault(fault)
+                // Only the explicit hook runs digest rounds.
+                .with_suspicion(SuspicionConfig::active().with_anti_entropy_every(1_000_000)),
+            c,
+        );
+        let (a, sub) = (net.node_at(0), net.node_at(7));
+        for from in [a, sub] {
+            net.pose_query_sql(from, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
+                .unwrap();
+        }
+        for i in 0..8i64 {
+            net.insert_tuple(a, "R", vec![Value::Int(i), Value::Int(i % 3)])
+                .unwrap();
+        }
+        round(&mut net);
+        round(&mut net);
+
+        // Voluntary leave: primaries and replicas move to the successor.
+        net.node_leave(sub).unwrap();
+        assert_fresh(&net);
+        round(&mut net);
+        for i in 0..8i64 {
+            net.insert_tuple(a, "S", vec![Value::Int(i), Value::Int(i % 3)])
+                .unwrap();
+        }
+        round(&mut net);
+        round(&mut net);
+
+        // Reconnect: the held notifications leave the offline store.
+        net.node_rejoin(sub).unwrap();
+        assert!(!net.inbox(sub).is_empty(), "offline notifications drained");
+        assert_fresh(&net);
+        round(&mut net);
+        round(&mut net);
+
+        // Abrupt failure, a round at the new epoch, then promotion by the
+        // detector with no membership change in between.
+        let victim = (0..net.alive_count())
+            .map(|i| net.node_at(i))
+            .filter(|&h| h != a && h != sub)
+            .max_by_key(|&h| net.node_state(h).storage_load())
+            .unwrap();
+        assert!(net.node_state(victim).storage_load() > 0);
+        net.node_fail(victim).unwrap();
+        round(&mut net);
+        let promoted = net.metrics().faults.replicas_promoted;
+        while net.recovery_counters().detections == 0 {
+            net.pump_ticks(1).unwrap();
+        }
+        assert!(
+            net.metrics().faults.replicas_promoted > promoted,
+            "the detector promoted replicas"
+        );
+        assert_fresh(&net);
+        round(&mut net);
+        round(&mut net);
+        let repairs = net.recovery_counters().repair_items;
+        round(&mut net);
+        assert_eq!(
+            net.recovery_counters().repair_items,
+            repairs,
+            "converged replicas need no further repair"
+        );
+    }
+
     #[test]
     fn recovery_starts_idle() {
-        let rec = Recovery::new(SuspicionConfig::active());
+        let rec = Recovery::new(SuspicionConfig::active(), 4);
         assert!(!rec.pending());
         assert_eq!(rec.next_heartbeat, 1);
     }

@@ -552,17 +552,16 @@ impl Network {
         self.inject_failures(pipe)?;
         self.recovery_tick(pipe)?;
         let now = pipe.tick;
-        let batch = pipe.in_flight.remove(&now).unwrap_or_default();
-        pipe.note_removed(&batch);
-        for delivery in batch {
+        let mut batch = pipe.take_due();
+        for delivery in batch.drain(..) {
             match delivery {
                 Delivery::Data { id, to, msg } => {
                     let node = to.index() as u32;
+                    let probe = matches!(msg, Message::Ping { .. } | Message::Pong { .. });
                     if !self.ring.node(to).is_alive() {
                         self.metrics.faults.messages_lost += 1;
                         // A non-probe message swallowed by a failed-but-
                         // undetected receiver is the recovery blind spot.
-                        let probe = matches!(msg, Message::Ping { .. } | Message::Pong { .. });
                         if !probe
                             && self
                                 .recovery
@@ -605,7 +604,7 @@ impl Network {
                     // previous ack was lost). Acks are subject to loss
                     // like any transmission. Probes never have an
                     // outstanding window, so they are never acked.
-                    if pipe.cfg.retries_enabled() {
+                    if pipe.cfg.retries_enabled() && !probe {
                         if let Some(o) = pipe.outstanding.get(&id) {
                             let sender = o.from;
                             if pipe.cfg.loss_rate > 0.0
@@ -633,6 +632,7 @@ impl Network {
                 }
             }
         }
+        pipe.restore_due(batch);
         for id in pipe.retry_at.remove(&now).unwrap_or_default() {
             self.maybe_retransmit(pipe, id, now);
         }
@@ -673,7 +673,7 @@ impl Network {
     }
 
     /// Draws duplication, loss and delay for one logical transmission and
-    /// schedules the surviving copies.
+    /// schedules the surviving copies (the last copy takes `msg` itself).
     fn schedule_copies(&mut self, pipe: &mut FaultPipe, id: MsgId, to: NodeHandle, msg: Message) {
         let node = to.index() as u32;
         let mut copies = 1u32;
@@ -683,7 +683,8 @@ impl Network {
             let tick = pipe.tick;
             self.trace(|| TraceEvent::FaultDuplicate { tick, node, id });
         }
-        for _ in 0..copies {
+        let mut msg = Some(msg);
+        for left in (0..copies).rev() {
             if pipe.cfg.loss_rate > 0.0 && pipe.rng.gen::<f64>() < pipe.cfg.loss_rate {
                 self.metrics.faults.messages_lost += 1;
                 let tick = pipe.tick;
@@ -706,14 +707,10 @@ impl Network {
                     extra,
                 });
             }
-            pipe.schedule(
-                at,
-                Delivery::Data {
-                    id,
-                    to,
-                    msg: msg.clone(),
-                },
-            );
+            let copy = if left == 0 { msg.take() } else { msg.clone() };
+            // Invariant: `msg` is taken only on the last iteration.
+            let msg = copy.expect("message present until the last copy");
+            pipe.schedule(at, Delivery::Data { id, to, msg });
         }
     }
 
@@ -782,21 +779,27 @@ impl Network {
             failed = true;
         }
         // Empirical churn: sessions sampled at pipe construction expire.
+        // Expiries due by now are consumed in (tick, slot) order; once the
+        // cap is hit or one node is left (neither undoes itself here), the
+        // rest of them are discarded.
         if let ChurnModel::Empirical { max_events, .. } = &pipe.cfg.churn {
             let max_events = *max_events;
-            let mut due = pipe.session_ends.split_off(&(pipe.tick + 1));
-            std::mem::swap(&mut due, &mut pipe.session_ends);
-            for slot in due.into_values().flatten() {
-                if pipe.churn_events >= max_events || self.ring.len() <= 1 {
+            while let Some(entry) = pipe.session_ends.first_entry() {
+                if *entry.key() > pipe.tick {
                     break;
                 }
-                let h = NodeHandle::from_index(slot as usize);
-                if !self.ring.node(h).is_alive() {
-                    continue;
-                }
-                if self.fail_node_state(h).is_ok() {
-                    pipe.churn_events += 1;
-                    failed = true;
+                for slot in entry.remove() {
+                    if pipe.churn_events >= max_events || self.ring.len() <= 1 {
+                        break;
+                    }
+                    let h = NodeHandle::from_index(slot as usize);
+                    if !self.ring.node(h).is_alive() {
+                        continue;
+                    }
+                    if self.fail_node_state(h).is_ok() {
+                        pipe.churn_events += 1;
+                        failed = true;
+                    }
                 }
             }
         }

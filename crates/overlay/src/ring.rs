@@ -25,6 +25,8 @@ pub struct Ring {
     /// Alive nodes ordered by identifier — the ground truth used to verify
     /// routing and to implement perfect pointer construction.
     by_id: BTreeMap<u64, NodeHandle>,
+    /// Membership epoch: bumped on every change to `by_id`.
+    epoch: u64,
 }
 
 impl Ring {
@@ -41,6 +43,7 @@ impl Ring {
             succ_len,
             slots: Vec::new(),
             by_id: BTreeMap::new(),
+            epoch: 0,
         }
     }
 
@@ -78,6 +81,16 @@ impl Ring {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.by_id.is_empty()
+    }
+
+    /// The membership epoch: bumped by every change to the alive set
+    /// (insert, join, rejoin, leave, fail) and by nothing else. Ownership
+    /// ([`Ring::owner_of`], [`Ring::owned_range`], [`Ring::successors_of`])
+    /// is a function of the alive set alone, so a value derived from it at
+    /// one epoch stays valid exactly as long as the epoch is unchanged.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Total number of slots ever allocated (alive + departed).
@@ -160,6 +173,7 @@ impl Ring {
         self.slots
             .push(Node::new(key.to_string(), id, self.space.bits()));
         self.by_id.insert(id.0, h);
+        self.epoch += 1;
         Ok(h)
     }
 
@@ -234,6 +248,7 @@ impl Ring {
         node.successors = vec![succ];
         self.slots.push(node);
         self.by_id.insert(id.0, h);
+        self.epoch += 1;
         Ok((h, hops))
     }
 
@@ -257,6 +272,7 @@ impl Ring {
         node.predecessor = None;
         node.fingers.iter_mut().for_each(|f| *f = None);
         self.by_id.insert(id.0, h);
+        self.epoch += 1;
         Ok(hops)
     }
 
@@ -271,6 +287,7 @@ impl Ring {
         }
         let id = self.id_of(h);
         self.by_id.remove(&id.0);
+        self.epoch += 1;
         let succ = self.first_alive_successor(h);
         let pred = self.node(h).predecessor.filter(|&p| self.node(p).alive);
         if let (Some(s), Some(p)) = (succ, pred) {
@@ -301,6 +318,7 @@ impl Ring {
         }
         let id = self.id_of(h);
         self.by_id.remove(&id.0);
+        self.epoch += 1;
         self.slots[h.index()].alive = false;
         Ok(())
     }
@@ -674,6 +692,57 @@ mod tests {
             total += ring.space().distance(pred, id);
         }
         assert_eq!(total, ring.space().size());
+    }
+
+    #[test]
+    fn owned_range_interval_agrees_with_owns() {
+        // Anti-entropy and promotion test ownership with one interval test
+        // against `owned_range` instead of an `owner_of` lookup per item;
+        // the two must agree for every node and identifier, including
+        // after failures and leaves and with a single node left.
+        let mut ring = Ring::build(IdSpace::new(8), 12, "node-");
+        loop {
+            let space = ring.space();
+            for h in ring.alive_nodes() {
+                let (lo, hi) = ring.owned_range(h).unwrap();
+                for x in 0..space.size() {
+                    let id = Id(x);
+                    assert_eq!(ring.owns(h, id), space.in_open_closed(id, lo, hi));
+                }
+            }
+            if ring.len() == 1 {
+                break;
+            }
+            let victim = ring.alive_nodes().nth(ring.len() / 2).unwrap();
+            if ring.len().is_multiple_of(2) {
+                ring.fail(victim).unwrap();
+            } else {
+                ring.leave(victim).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_tracks_membership_only() {
+        let mut ring = small_ring(10);
+        let e0 = ring.epoch();
+        ring.stabilize_all(2);
+        assert_eq!(ring.epoch(), e0, "stabilization changes no membership");
+        let victim = ring.alive_nodes().nth(3).unwrap();
+        ring.fail(victim).unwrap();
+        let e1 = ring.epoch();
+        assert!(e1 > e0, "failure bumps the epoch");
+        ring.stabilize_all(1);
+        assert_eq!(ring.epoch(), e1);
+        let via = ring.alive_nodes().next().unwrap();
+        ring.rejoin(victim, via).unwrap();
+        assert!(ring.epoch() > e1, "rejoin bumps the epoch");
+        let e2 = ring.epoch();
+        ring.leave(victim).unwrap();
+        assert!(ring.epoch() > e2, "leave bumps the epoch");
+        let e3 = ring.epoch();
+        ring.join("newcomer", via).unwrap();
+        assert!(ring.epoch() > e3, "join bumps the epoch");
     }
 
     #[test]
