@@ -97,14 +97,6 @@ pub enum Message {
         /// Echo of the probe's sequence number.
         seq: u64,
     },
-    /// Several messages of one multisend batch coalesced for a single
-    /// destination — one queue entry instead of one per message. The
-    /// receiver unwraps them in order, so dispatch order is exactly what
-    /// separate enqueues would produce. Only the perfect-delivery,
-    /// untraced transport path bundles (the fault pump's per-transmission
-    /// draws and the tracer's per-message send events both observe logical
-    /// messages individually); bundles are never nested.
-    Bundle(Vec<Message>),
 }
 
 /// Payload of [`Message::JoinV`]: one group's rewritten queries plus the
@@ -126,9 +118,10 @@ pub struct ValueJoin {
 }
 
 impl Message {
-    /// All kind labels, in [`Message::kind_index`] order (used by the
-    /// per-kind wire-byte counters).
-    pub const KINDS: [&'static str; 11] = [
+    /// All kind labels, in [`Message::kind_index`] order: the one list of
+    /// message kinds. The per-kind wire-byte counters are sized by it and
+    /// binary trace frames intern kind labels as indices into it.
+    pub const KINDS: [&'static str; 10] = [
         "query",
         "al-index",
         "vl-index",
@@ -139,7 +132,6 @@ impl Message {
         "replicate",
         "ping",
         "pong",
-        "bundle",
     ];
 
     /// Index of this message's kind in [`Message::KINDS`] — a direct
@@ -156,7 +148,6 @@ impl Message {
             Message::Replicate { .. } => 7,
             Message::Ping { .. } => 8,
             Message::Pong { .. } => 9,
-            Message::Bundle(_) => 10,
         }
     }
 
@@ -173,7 +164,6 @@ impl Message {
             Message::Replicate { .. } => "replicate",
             Message::Ping { .. } => "ping",
             Message::Pong { .. } => "pong",
-            Message::Bundle(_) => "bundle",
         }
     }
 }

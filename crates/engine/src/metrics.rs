@@ -11,6 +11,8 @@ use std::fmt;
 
 use cq_overlay::TrafficStats;
 
+use crate::messages::Message;
+
 /// Categories of protocol messages whose traffic is accounted separately.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TrafficKind {
@@ -105,9 +107,7 @@ pub struct FaultCounters {
     /// Populated by the fault pump and by the TCP backend; the default
     /// perfect-delivery simulator path skips serialization sizing entirely
     /// and leaves these at zero.
-    ///
-    /// [`Message::KINDS`]: crate::messages::Message::KINDS
-    pub bytes_sent: [u64; 11],
+    pub bytes_sent: [u64; Message::KINDS.len()],
 }
 
 impl FaultCounters {

@@ -37,7 +37,7 @@ use crate::recovery::{ChangeMarks, Recovery};
 use crate::replication::ReplicaItem;
 use crate::tables::StoredQuery;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::transport::{ActiveTransport, SimTransport, Transport as _};
+use crate::transport::{ActiveTransport, SimTransport};
 use crate::transport_tcp::{SocketStats, TcpOptions, TcpTransport};
 
 /// The whole simulated network.
@@ -208,7 +208,7 @@ impl Network {
     /// zero, so per-phase deltas compose by calling between phases.
     pub fn take_socket_stats(&mut self) -> Option<SocketStats> {
         match &mut self.transport {
-            ActiveTransport::Tcp(t) => t.take_socket_stats(),
+            ActiveTransport::Tcp(t) => Some(t.take_socket_stats()),
             ActiveTransport::Sim(_) => None,
         }
     }
@@ -589,16 +589,6 @@ impl Network {
             }
             Message::Pong { from, .. } => {
                 self.on_pong(at, from);
-                Ok(())
-            }
-            Message::Bundle(msgs) => {
-                // Unwrap in order: dispatching members back-to-back is
-                // exactly equivalent to popping them consecutively off the
-                // queue, because each member's effects enqueue at the back —
-                // behind the rest of the run in both schedules.
-                for m in msgs {
-                    self.dispatch(at, m)?;
-                }
                 Ok(())
             }
         }

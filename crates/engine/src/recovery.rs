@@ -81,7 +81,6 @@ use crate::replication::{
     digest_of, hash_offline, hash_query, hash_rewritten, hash_tuple, hash_value_tuple, ReplicaItem,
 };
 use crate::trace::TraceEvent;
-use crate::transport::Transport as _;
 use crate::wire;
 
 /// Failure-detection knobs. All durations are pump ticks (the same unit the

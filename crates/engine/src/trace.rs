@@ -23,12 +23,12 @@
 //!   carry a `(sender, seq)` [`MsgId`], so a delivered notification can be
 //!   traced back through evaluator → rewriter → publisher hop by hop.
 //!
-//! Three sinks ship with the engine: [`NoopSink`] (explicit no-op),
-//! [`RingBufferSink`] (bounded in-memory buffer, used by trace-driven
-//! tests), and [`JsonlSink`] (streams one JSON object per line to a file;
-//! [`TraceEvent::parse_jsonl`] round-trips it). [`SummarySink`] aggregates
-//! per-kind counts and per-node hop histograms into a [`TraceSummary`],
-//! and [`TeeSink`] fans one event stream into several sinks.
+//! Three sinks ship with the engine: [`RingBufferSink`] (bounded in-memory
+//! buffer, used by trace-driven tests), [`FileSink`] (streams every event
+//! to a file in a [`TraceFormat`] — one JSON object per line, or one
+//! `engine::wire` frame per event — and aggregates per-kind counts and
+//! per-node hop histograms into a [`TraceSummary`] behind the same lock),
+//! and [`TeeSink`] (fans one event stream into several sinks).
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -422,8 +422,9 @@ impl TraceEvent {
     }
 
     /// Serializes the event as one JSON object (no trailing newline). The
-    /// format is flat and hand-rolled — the workspace vendors no serde —
-    /// and [`TraceEvent::parse_jsonl`] is its exact inverse.
+    /// format is flat and hand-rolled — the workspace vendors no serde. It
+    /// is the human-readable rendering only: the binary `engine::wire`
+    /// frame is the format that decodes back to events.
     ///
     /// Integers are formatted manually rather than through `write!` (the
     /// `std::fmt` machinery costs ~100 ns per call), adjacent literals are
@@ -439,7 +440,7 @@ impl TraceEvent {
         // kind/tick/node/id helper accessors instead would re-match the
         // variant four extra times per record, and on a mixed event stream
         // those indirect branches mispredict. The arm's kind index is
-        // returned so a fused sink can account the event without a second
+        // returned so [`FileSink`] can account the event without a second
         // dispatch.
         let kind = match self {
             TraceEvent::MsgSend {
@@ -697,162 +698,6 @@ impl TraceEvent {
         self.append_jsonl(&mut bytes);
         out.push_str(std::str::from_utf8(&bytes).expect("JSONL is ASCII or escaped UTF-8"));
     }
-
-    /// Parses one line produced by [`TraceEvent::to_jsonl`]. Returns `None`
-    /// for malformed input (including unknown event kinds).
-    pub fn parse_jsonl(line: &str) -> Option<TraceEvent> {
-        let ev = json_str(line, "ev")?;
-        let tick = json_u64(line, "tick")?;
-        let node = json_u64(line, "node")? as u32;
-        let id = || -> Option<MsgId> {
-            let arr = json_arr(line, "id")?;
-            Some((*arr.first()? as u32, *arr.get(1)?))
-        };
-        Some(match ev.as_str() {
-            "msg-send" => TraceEvent::MsgSend {
-                tick,
-                node,
-                id: id()?,
-                to: json_u64(line, "to")? as u32,
-                target: Id(json_u64(line, "target")?),
-                kind: intern_kind(&json_str(line, "kind")?)?,
-                path: json_arr(line, "path").map(|v| v.into_iter().map(|n| n as u32).collect()),
-            },
-            "msg-deliver" => TraceEvent::MsgDeliver {
-                tick,
-                node,
-                id: id()?,
-                kind: intern_kind(&json_str(line, "kind")?)?,
-            },
-            "fault-drop" => TraceEvent::FaultDrop {
-                tick,
-                node,
-                id: id()?,
-            },
-            "fault-dup" => TraceEvent::FaultDuplicate {
-                tick,
-                node,
-                id: id()?,
-            },
-            "fault-delay" => TraceEvent::FaultDelay {
-                tick,
-                node,
-                id: id()?,
-                extra: json_u64(line, "extra")?,
-            },
-            "retransmit" => TraceEvent::Retransmit {
-                tick,
-                node,
-                id: id()?,
-                attempt: json_u64(line, "attempt")? as u32,
-            },
-            "dedup" => TraceEvent::DedupSuppressed {
-                tick,
-                node,
-                id: id()?,
-            },
-            "node-fail" => TraceEvent::NodeFailed { tick, node },
-            "index-insert" => TraceEvent::IndexInsert {
-                tick,
-                node,
-                table: intern_table(&json_str(line, "table")?)?,
-                fresh: json_bool(line, "fresh").unwrap_or(true),
-            },
-            "index-remove" => TraceEvent::IndexRemove {
-                tick,
-                node,
-                table: intern_table(&json_str(line, "table")?)?,
-                removed: json_u64(line, "removed")?,
-                reason: intern_reason(&json_str(line, "reason")?)?,
-            },
-            "join-eval" => TraceEvent::JoinEval {
-                tick,
-                node,
-                candidates: json_u64(line, "candidates")?,
-                matches: json_u64(line, "matches")?,
-            },
-            "notify" => TraceEvent::NotifyDelivered {
-                tick,
-                node,
-                count: json_u64(line, "count")?,
-                offline: json_bool(line, "offline").unwrap_or(false),
-            },
-            "replicate" => TraceEvent::Replicate {
-                tick,
-                node,
-                to: json_u64(line, "to")? as u32,
-            },
-            "promote" => TraceEvent::Promote {
-                tick,
-                node,
-                items: json_u64(line, "items")?,
-            },
-            "phase" => TraceEvent::Phase {
-                tick,
-                name: json_str(line, "name")?,
-            },
-            "suspect" => TraceEvent::Suspect {
-                tick,
-                node,
-                target: json_u64(line, "target")? as u32,
-            },
-            "confirm" => TraceEvent::Confirm {
-                tick,
-                node,
-                target: json_u64(line, "target")? as u32,
-                dead: json_bool(line, "dead").unwrap_or(true),
-            },
-            "false-suspect" => TraceEvent::FalseSuspect {
-                tick,
-                node,
-                target: json_u64(line, "target")? as u32,
-            },
-            "digest-exchange" => TraceEvent::DigestExchange {
-                tick,
-                node,
-                to: json_u64(line, "to")? as u32,
-                items: json_u64(line, "items")?,
-                missing: json_u64(line, "missing")?,
-            },
-            "repair" => TraceEvent::Repair {
-                tick,
-                node,
-                to: json_u64(line, "to")? as u32,
-                items: json_u64(line, "items")?,
-                bytes: json_u64(line, "bytes")?,
-            },
-            _ => return None,
-        })
-    }
-}
-
-/// Re-interns a parsed message-kind string to the engine's static labels.
-fn intern_kind(s: &str) -> Option<&'static str> {
-    const KINDS: [&str; 10] = [
-        "query",
-        "al-index",
-        "vl-index",
-        "join",
-        "join-v",
-        "store-notify",
-        "notify",
-        "replicate",
-        "ping",
-        "pong",
-    ];
-    KINDS.iter().find(|k| **k == s).copied()
-}
-
-/// Re-interns a parsed table name.
-fn intern_table(s: &str) -> Option<&'static str> {
-    const TABLES: [&str; 6] = ["alqt", "vlqt", "vltt", "vstore", "offline-store", "all"];
-    TABLES.iter().find(|k| **k == s).copied()
-}
-
-/// Re-interns a parsed removal reason.
-fn intern_reason(s: &str) -> Option<&'static str> {
-    const REASONS: [&str; 3] = ["fail", "leave", "transfer"];
-    REASONS.iter().find(|k| **k == s).copied()
 }
 
 /// Stack staging buffer for [`TraceEvent::append_jsonl`]: fields accumulate
@@ -976,79 +821,11 @@ impl<'a> Scratch<'a> {
     }
 }
 
-// --- minimal flat-JSON field readers (inverse of `to_jsonl` only) ---
-
-/// Locates the raw value text after `"key":`.
-fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    Some(&line[start..])
-}
-
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let raw = json_raw(line, key)?;
-    let end = raw.find(|c: char| !c.is_ascii_digit()).unwrap_or(raw.len());
-    raw[..end].parse().ok()
-}
-
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    let raw = json_raw(line, key)?;
-    if raw.starts_with("true") {
-        Some(true)
-    } else if raw.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let raw = json_raw(line, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn json_arr(line: &str, key: &str) -> Option<Vec<u64>> {
-    let raw = json_raw(line, key)?.strip_prefix('[')?;
-    let end = raw.find(']')?;
-    let body = &raw[..end];
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|n| n.trim().parse().ok()).collect()
-}
-
 /// A consumer of trace events. Implementations must be cheap and
 /// side-effect-free with respect to the engine: they observe, never steer.
 pub trait TraceSink: Send + Sync {
     /// Receives one event. Called synchronously on the simulation thread.
     fn record(&self, ev: &TraceEvent);
-}
-
-/// The explicit do-nothing sink (the engine's default is simply *no* sink,
-/// but `NoopSink` lets call sites demand a `&dyn TraceSink` unconditionally).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&self, _ev: &TraceEvent) {}
 }
 
 /// A bounded in-memory buffer keeping the most recent events. Used by
@@ -1099,50 +876,71 @@ impl TraceSink for RingBufferSink {
     }
 }
 
-/// The shared write half of the JSONL sinks: events serialize straight into
-/// one large byte buffer that is written out whenever it crosses the
-/// high-water mark — no per-line intermediate, no `BufWriter` copy.
-#[derive(Debug)]
-struct JsonlWriter {
-    file: File,
-    buf: Vec<u8>,
-    /// Buffered bytes that trigger the next `write(2)` — the explicit
-    /// writer size, chosen per format by the sink that owns this writer.
-    high_water: usize,
+/// The on-disk encoding of a [`FileSink`]'s trace file.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum TraceFormat {
+    /// One JSON object per line ([`TraceEvent::append_jsonl`], `.jsonl`) —
+    /// greppable, the default.
+    #[default]
+    Jsonl,
+    /// One length-prefixed `engine::wire` frame per event
+    /// ([`crate::wire::encode_trace_event`], `.trace`) — compact, and the
+    /// format that decodes back to events; the sim's `trace_dump` tool
+    /// renders it as the identical JSONL.
+    Binary,
 }
 
-/// Bytes buffered before the next `write(2)` on JSONL traces — sized to
-/// stay cache-resident rather than stream through a megabyte of cold lines.
-const JSONL_BUF: usize = 1 << 18;
-
-/// Bytes buffered before the next `write(2)` on binary traces. Wire frames
-/// average tens of bytes, so a traced run emits hundreds of thousands of
-/// tiny appends (the ROADMAP's "270k file writes"); a 1 MiB high-water mark
-/// amortizes them to a handful of syscalls per run without an async writer.
-const BINARY_BUF: usize = 1 << 20;
-
-impl JsonlWriter {
-    fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        JsonlWriter::with_capacity(path, JSONL_BUF)
+impl TraceFormat {
+    /// The trace-file extension for this format.
+    pub fn extension(self) -> &'static str {
+        match self {
+            TraceFormat::Jsonl => "jsonl",
+            TraceFormat::Binary => "trace",
+        }
     }
 
-    /// A writer that batches appends until `high_water` bytes are buffered
-    /// (plus headroom for the line or frame that crosses the mark).
-    fn with_capacity(path: impl AsRef<Path>, high_water: usize) -> std::io::Result<Self> {
-        Ok(JsonlWriter {
+    /// Bytes buffered before the next `write(2)`. JSONL lines are sized to
+    /// stay cache-resident rather than stream through a megabyte of cold
+    /// lines; binary frames average tens of bytes, so a traced run emits
+    /// hundreds of thousands of tiny appends, and a 1 MiB mark amortizes
+    /// them to a handful of syscalls per run.
+    fn high_water(self) -> usize {
+        match self {
+            TraceFormat::Jsonl => 1 << 18,
+            TraceFormat::Binary => 1 << 20,
+        }
+    }
+}
+
+/// The write half of [`FileSink`]: events serialize straight into one
+/// large byte buffer that is written out whenever it crosses the format's
+/// high-water mark — no per-line intermediate, no `BufWriter` copy.
+#[derive(Debug)]
+struct TraceWriter {
+    file: File,
+    buf: Vec<u8>,
+    format: TraceFormat,
+}
+
+impl TraceWriter {
+    fn create(path: impl AsRef<Path>, format: TraceFormat) -> std::io::Result<Self> {
+        Ok(TraceWriter {
             file: File::create(path)?,
-            buf: Vec::with_capacity(high_water + 512),
-            high_water,
+            // headroom for the line or frame that crosses the mark
+            buf: Vec::with_capacity(format.high_water() + 512),
+            format,
         })
     }
 
-    /// Appends one line; returns the event's kind index so a fused sink
-    /// can account it without re-matching the variant.
+    /// Appends one event; returns its kind index so the summary can
+    /// account it without re-matching the variant.
     #[inline]
     fn append(&mut self, ev: &TraceEvent) -> usize {
-        let kind = ev.append_jsonl(&mut self.buf);
-        self.buf.push(b'\n');
-        if self.buf.len() >= self.high_water {
+        let kind = match self.format {
+            TraceFormat::Jsonl => self.append_line(ev),
+            TraceFormat::Binary => self.append_frame(ev),
+        };
+        if self.buf.len() >= self.format.high_water() {
             // An I/O error mid-trace must not kill the simulation; the
             // flush() at the end of a run surfaces persistent failures.
             let _ = self.file.write_all(&self.buf);
@@ -1151,15 +949,18 @@ impl JsonlWriter {
         kind
     }
 
-    /// Appends one `engine::wire` frame instead of a JSONL line (the binary
-    /// trace format); returns the event's kind index like `append`.
     #[inline]
+    fn append_line(&mut self, ev: &TraceEvent) -> usize {
+        let kind = ev.append_jsonl(&mut self.buf);
+        self.buf.push(b'\n');
+        kind
+    }
+
+    /// Out of line on purpose: with the wire encoder inlined next to
+    /// `append_jsonl`, traced JSONL runs measured 5–8% more CPU.
+    #[inline(never)]
     fn append_frame(&mut self, ev: &TraceEvent) -> usize {
         crate::wire::encode_trace_event(ev, &mut self.buf);
-        if self.buf.len() >= self.high_water {
-            let _ = self.file.write_all(&self.buf);
-            self.buf.clear();
-        }
         ev.kind_index()
     }
 
@@ -1172,36 +973,9 @@ impl JsonlWriter {
     }
 }
 
-impl Drop for JsonlWriter {
+impl Drop for TraceWriter {
     fn drop(&mut self) {
         let _ = self.flush();
-    }
-}
-
-/// Streams events to a file, one JSON object per line (buffered; flushed on
-/// [`JsonlSink::flush`] and on drop).
-#[derive(Debug)]
-pub struct JsonlSink {
-    out: Mutex<JsonlWriter>,
-}
-
-impl JsonlSink {
-    /// Creates (truncating) the trace file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlSink {
-            out: Mutex::new(JsonlWriter::create(path)?),
-        })
-    }
-
-    /// Flushes buffered lines to disk.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.out.lock().expect("trace writer").flush()
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&self, ev: &TraceEvent) {
-        let _ = self.out.lock().expect("trace writer").append(ev);
     }
 }
 
@@ -1233,24 +1007,14 @@ impl TraceSummary {
 
 /// Builds a [`TraceSummary`] incrementally.
 #[derive(Debug, Default)]
-pub struct SummarySink {
-    inner: Mutex<SummaryState>,
-}
-
-#[derive(Debug, Default)]
 struct SummaryState {
     counts: [u64; TraceEvent::KINDS.len()],
     hops: FxHashMap<u32, Vec<u64>>,
 }
 
 impl SummaryState {
-    fn note(&mut self, ev: &TraceEvent) {
-        self.note_kind(ev.kind_index(), ev);
-    }
-
-    /// [`SummaryState::note`] with the kind index already known (the fused
-    /// sink gets it from the serializer for free).
-    fn note_kind(&mut self, kind: usize, ev: &TraceEvent) {
+    /// Accounts one event whose kind index the writer already computed.
+    fn note(&mut self, kind: usize, ev: &TraceEvent) {
         self.counts[kind] += 1;
         if let TraceEvent::MsgSend {
             node,
@@ -1279,43 +1043,27 @@ impl SummaryState {
     }
 }
 
-impl SummarySink {
-    /// A fresh, empty summary sink.
-    pub fn new() -> Self {
-        SummarySink::default()
-    }
-
-    /// The summary accumulated so far.
-    pub fn summary(&self) -> TraceSummary {
-        self.inner.lock().expect("trace summary").to_summary()
-    }
-}
-
-impl TraceSink for SummarySink {
-    fn record(&self, ev: &TraceEvent) {
-        self.inner.lock().expect("trace summary").note(ev);
-    }
-}
-
-/// A [`JsonlSink`] and a [`SummarySink`] fused behind one lock — what the
-/// sim harness installs for `--trace`. A [`TeeSink`] over the two separate
-/// sinks is observationally identical but pays two lock round-trips and two
-/// virtual dispatches per event, which is measurable at trace volumes of
-/// hundreds of thousands of events per run.
+/// Streams every event to a trace file in a [`TraceFormat`] and
+/// accumulates a [`TraceSummary`], both behind one lock — what the sim
+/// harness installs for `--trace`. A [`TeeSink`] of a file writer and a
+/// summary would pay two lock round-trips and two virtual dispatches per
+/// event, which is measurable at trace volumes of hundreds of thousands of
+/// events per run. Buffered; flushed on [`FileSink::flush`]
+/// and on drop.
 #[derive(Debug)]
-pub struct JsonlSummarySink {
-    inner: Mutex<(JsonlWriter, SummaryState)>,
+pub struct FileSink {
+    inner: Mutex<(TraceWriter, SummaryState)>,
 }
 
-impl JsonlSummarySink {
+impl FileSink {
     /// Creates (truncating) the trace file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlSummarySink {
-            inner: Mutex::new((JsonlWriter::create(path)?, SummaryState::default())),
+    pub fn create(path: impl AsRef<Path>, format: TraceFormat) -> std::io::Result<Self> {
+        Ok(FileSink {
+            inner: Mutex::new((TraceWriter::create(path, format)?, SummaryState::default())),
         })
     }
 
-    /// Flushes buffered lines to disk.
+    /// Flushes buffered events to disk.
     pub fn flush(&self) -> std::io::Result<()> {
         self.inner.lock().expect("trace writer").0.flush()
     }
@@ -1326,56 +1074,12 @@ impl JsonlSummarySink {
     }
 }
 
-impl TraceSink for JsonlSummarySink {
+impl TraceSink for FileSink {
     fn record(&self, ev: &TraceEvent) {
         let mut guard = self.inner.lock().expect("trace writer");
         let (out, summary) = &mut *guard;
         let kind = out.append(ev);
-        summary.note_kind(kind, ev);
-    }
-}
-
-/// The binary twin of [`JsonlSummarySink`]: every event is written as one
-/// length-prefixed, versioned `engine::wire` frame (the exact layout
-/// [`crate::wire::encode_trace_event`] produces), fused with the same
-/// in-memory summary. Installed by the sim harness for
-/// `--trace-format binary`; the `trace_dump` tool converts a binary stream
-/// back to the JSONL the text tooling reads.
-#[derive(Debug)]
-pub struct BinarySummarySink {
-    inner: Mutex<(JsonlWriter, SummaryState)>,
-}
-
-impl BinarySummarySink {
-    /// Creates (truncating) the binary trace file at `path`. The writer is
-    /// sized at `BINARY_BUF` (1 MiB) — binary frames are far smaller than
-    /// JSONL lines, so the binary sink batches more events per `write(2)`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(BinarySummarySink {
-            inner: Mutex::new((
-                JsonlWriter::with_capacity(path, BINARY_BUF)?,
-                SummaryState::default(),
-            )),
-        })
-    }
-
-    /// Flushes buffered frames to disk.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.inner.lock().expect("trace writer").0.flush()
-    }
-
-    /// The summary accumulated so far.
-    pub fn summary(&self) -> TraceSummary {
-        self.inner.lock().expect("trace writer").1.to_summary()
-    }
-}
-
-impl TraceSink for BinarySummarySink {
-    fn record(&self, ev: &TraceEvent) {
-        let mut guard = self.inner.lock().expect("trace writer");
-        let (out, summary) = &mut *guard;
-        let kind = out.append_frame(ev);
-        summary.note_kind(kind, ev);
+        summary.note(kind, ev);
     }
 }
 
@@ -1536,24 +1240,53 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_every_variant() {
+    fn wire_round_trips_every_variant() {
         for ev in samples() {
-            let mut line = String::new();
-            ev.to_jsonl(&mut line);
-            let back =
-                TraceEvent::parse_jsonl(&line).unwrap_or_else(|| panic!("parse failed for {line}"));
-            assert_eq!(back, ev, "round-trip mismatch for {line}");
+            let mut buf = Vec::new();
+            crate::wire::encode_trace_event(&ev, &mut buf);
+            let (back, used) = crate::wire::decode_trace_event(&buf)
+                .unwrap_or_else(|e| panic!("decode failed for {ev:?}: {e}"));
+            assert_eq!(used, buf.len(), "frame fully consumed for {ev:?}");
+            assert_eq!(back, ev, "round-trip mismatch");
         }
     }
 
+    /// The JSONL rendering is a file format (traces are diffed across
+    /// commits), so every variant's line is pinned byte for byte, default
+    /// booleans omitted.
     #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(TraceEvent::parse_jsonl(""), None);
-        assert_eq!(
-            TraceEvent::parse_jsonl("{\"ev\":\"nope\",\"tick\":1}"),
-            None
-        );
-        assert_eq!(TraceEvent::parse_jsonl("not json at all"), None);
+    fn jsonl_lines_are_pinned() {
+        let expected = [
+            r#"{"ev":"msg-send","tick":3,"node":5,"id":[5,12],"to":9,"target":3735928559,"kind":"join-v","path":[5,7,9]}"#,
+            r#"{"ev":"msg-send","tick":3,"node":5,"id":[5,13],"to":2,"target":7,"kind":"al-index"}"#,
+            r#"{"ev":"msg-deliver","tick":3,"node":9,"id":[5,12],"kind":"join-v"}"#,
+            r#"{"ev":"fault-drop","tick":4,"node":9,"id":[5,12]}"#,
+            r#"{"ev":"fault-dup","tick":4,"node":9,"id":[5,12]}"#,
+            r#"{"ev":"fault-delay","tick":4,"node":9,"id":[5,12],"extra":3}"#,
+            r#"{"ev":"retransmit","tick":6,"node":5,"id":[5,12],"attempt":2}"#,
+            r#"{"ev":"dedup","tick":7,"node":9,"id":[5,12]}"#,
+            r#"{"ev":"node-fail","tick":8,"node":4}"#,
+            r#"{"ev":"index-insert","tick":9,"node":1,"table":"vlqt"}"#,
+            r#"{"ev":"index-remove","tick":9,"node":4,"table":"alqt","removed":17,"reason":"fail"}"#,
+            r#"{"ev":"join-eval","tick":10,"node":2,"candidates":8,"matches":3}"#,
+            r#"{"ev":"notify","tick":10,"node":0,"count":3}"#,
+            r#"{"ev":"replicate","tick":11,"node":2,"to":3}"#,
+            r#"{"ev":"promote","tick":12,"node":3,"items":5}"#,
+            r#"{"ev":"phase","tick":0,"node":4294967295,"name":"install \"quoted\"\\weird"}"#,
+            r#"{"ev":"suspect","tick":13,"node":6,"target":4}"#,
+            r#"{"ev":"confirm","tick":15,"node":6,"target":4}"#,
+            r#"{"ev":"confirm","tick":15,"node":6,"target":7,"dead":false}"#,
+            r#"{"ev":"false-suspect","tick":14,"node":6,"target":7}"#,
+            r#"{"ev":"digest-exchange","tick":16,"node":2,"to":3,"items":40,"missing":2}"#,
+            r#"{"ev":"repair","tick":16,"node":2,"to":3,"items":2,"bytes":160}"#,
+        ];
+        let samples = samples();
+        assert_eq!(samples.len(), expected.len());
+        for (ev, want) in samples.iter().zip(expected) {
+            let mut line = String::new();
+            ev.to_jsonl(&mut line);
+            assert_eq!(line, want);
+        }
     }
 
     #[test]
@@ -1568,25 +1301,47 @@ mod tests {
         assert_eq!(evs[1].tick(), 4);
     }
 
+    /// A [`FileSink`] over a fresh file in the temp directory, removed
+    /// again when the returned guard drops.
+    fn temp_file_sink(name: &str, format: TraceFormat) -> (FileSink, TempPath) {
+        let path = std::env::temp_dir().join(format!(
+            "cq-trace-unit-{}-{name}.{}",
+            std::process::id(),
+            format.extension()
+        ));
+        (FileSink::create(&path, format).unwrap(), TempPath(path))
+    }
+
+    struct TempPath(std::path::PathBuf);
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
     #[test]
     fn summary_counts_and_hop_histograms() {
-        let sink = SummarySink::new();
-        for ev in samples() {
-            sink.record(&ev);
+        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+            let (sink, _path) = temp_file_sink("summary", format);
+            for ev in samples() {
+                sink.record(&ev);
+            }
+            let s = sink.summary();
+            assert_eq!(s.count_of("msg-send"), 2);
+            assert_eq!(s.count_of("phase"), 1);
+            assert_eq!(s.total(), samples().len() as u64);
+            // Only the pathful send lands in the histogram: node 5, 2 hops.
+            assert_eq!(s.hop_histograms.len(), 1);
+            assert_eq!(s.hop_histograms[&5], vec![0, 0, 1]);
         }
-        let s = sink.summary();
-        assert_eq!(s.count_of("msg-send"), 2);
-        assert_eq!(s.count_of("phase"), 1);
-        assert_eq!(s.total(), samples().len() as u64);
-        // Only the pathful send lands in the histogram: node 5, 2 hops.
-        assert_eq!(s.hop_histograms.len(), 1);
-        assert_eq!(s.hop_histograms[&5], vec![0, 0, 1]);
     }
 
     #[test]
     fn tee_fans_out() {
         let a = Arc::new(RingBufferSink::new(8));
-        let b = Arc::new(SummarySink::new());
+        let (b, _path) = temp_file_sink("tee", TraceFormat::Jsonl);
+        let b = Arc::new(b);
         let tee = TeeSink::new(vec![a.clone() as Arc<dyn TraceSink>, b.clone()]);
         tee.record(&TraceEvent::NodeFailed { tick: 1, node: 2 });
         assert_eq!(a.len(), 1);

@@ -72,74 +72,8 @@ impl Pending {
     }
 }
 
-/// The transport abstraction every backend implements: how envelopes enter
-/// the delivery substrate, how they come back out in global FIFO order, and
-/// the hooks the fault-injection / reliable-delivery pump needs.
-///
-/// Backends are selected by **enum dispatch** through [`ActiveTransport`]
-/// (never `dyn`): the simulator's hot loop calls `enqueue`/`next_delivery`
-/// once per protocol message, and a vtable there would defeat the batching
-/// and kernel wins the delivery path is built around.
-///
-/// The contract `Network` relies on:
-///
-/// * `enqueue` is infallible — a backend whose send can fail (sockets)
-///   defers the error and surfaces it from the next `next_delivery` call.
-/// * `next_delivery` yields envelopes in exactly the order they were
-///   enqueued, network-wide. The deterministic simulator and the TCP
-///   backend therefore dispatch identical sequences for the same seed.
-/// * The fault-pipe hooks (`take_pipe`/`restore_pipe`/`has_pipe`) expose
-///   the optional reliable-delivery pump state. Only [`SimTransport`]
-///   carries a pipe; backends without one return `None`/`false`, and the
-///   pump paths are never entered for them.
-pub(crate) trait Transport {
-    /// Queues one envelope for delivery. Must not fail: backends with
-    /// fallible sends record the error and report it from
-    /// [`Transport::next_delivery`].
-    fn enqueue(&mut self, p: Pending);
-
-    /// Removes and returns the next envelope in network-global FIFO order.
-    /// **Never blocks**: `None` means either the queue is drained
-    /// ([`Transport::is_idle`] true) or the head envelope's payload has not
-    /// finished arriving yet (socket backends; the driver calls
-    /// [`Transport::poll`] and retries). Deferred send errors surface here.
-    fn next_delivery(&mut self) -> Result<Option<Pending>>;
-
-    /// The explicit I/O progress hook: socket backends flush backpressured
-    /// writes, accept pending connections, and drain readable sockets. With
-    /// `block` set, the call may wait (bounded) for readiness; otherwise it
-    /// only services what is already ready. A no-op for in-memory backends.
-    fn poll(&mut self, block: bool) -> Result<()>;
-
-    /// Whether no envelopes are queued (socket backends: no envelopes in
-    /// flight on their wires either).
-    fn is_idle(&self) -> bool;
-
-    /// Detaches the fault-injection + reliable-delivery pipe so the pump
-    /// can run against `&mut Network`. `None` when the backend has no pipe.
-    fn take_pipe(&mut self) -> Option<Box<FaultPipe>>;
-
-    /// Reattaches a pipe detached by [`Transport::take_pipe`].
-    fn restore_pipe(&mut self, pipe: Box<FaultPipe>);
-
-    /// Whether a fault pipe is installed (drives the trace-id allocation
-    /// and bundle-coalescing gates).
-    fn has_pipe(&self) -> bool;
-
-    /// Drains the backend's per-message-kind wire-byte counters, indexed
-    /// like [`Message::KINDS`]. `None` for backends that don't serialize
-    /// (the simulator accounts wire bytes in the fault pump instead).
-    fn take_wire_bytes(&mut self) -> Option<[u64; 11]>;
-
-    /// Drains the backend's aggregate socket statistics (syscalls, bytes,
-    /// frames, backpressure, buffer-pool hit rate). `None` for backends
-    /// that never touch a socket.
-    fn take_socket_stats(&mut self) -> Option<crate::transport_tcp::SocketStats>;
-}
-
 /// The deterministic in-memory backend: a FIFO queue of envelopes and the
-/// optional fault-injection pipe. This is the seed engine's transport,
-/// unchanged in behavior, now behind the [`Transport`] trait.
+/// optional fault-injection pipe.
 pub(crate) struct SimTransport {
     /// FIFO queue of sent-but-not-yet-handled messages.
     pending: VecDeque<Pending>,
@@ -160,51 +94,22 @@ impl SimTransport {
     }
 }
 
-impl Transport for SimTransport {
-    #[inline]
-    fn enqueue(&mut self, p: Pending) {
-        self.pending.push_back(p);
-    }
-
-    #[inline]
-    fn next_delivery(&mut self) -> Result<Option<Pending>> {
-        Ok(self.pending.pop_front())
-    }
-
-    #[inline]
-    fn poll(&mut self, _block: bool) -> Result<()> {
-        Ok(()) // in-memory delivery has no I/O to progress
-    }
-
-    #[inline]
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    fn take_pipe(&mut self) -> Option<Box<FaultPipe>> {
-        self.pipe.take()
-    }
-
-    fn restore_pipe(&mut self, pipe: Box<FaultPipe>) {
-        self.pipe = Some(pipe);
-    }
-
-    #[inline]
-    fn has_pipe(&self) -> bool {
-        self.pipe.is_some()
-    }
-
-    fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {
-        None
-    }
-
-    fn take_socket_stats(&mut self) -> Option<crate::transport_tcp::SocketStats> {
-        None
-    }
-}
-
-/// The installed transport backend, dispatched by enum match so every call
-/// is a direct (inlinable) branch rather than a vtable jump.
+/// The installed transport backend: how envelopes enter the delivery
+/// substrate, how they come back out in global FIFO order, and the hooks
+/// the fault-injection / reliable-delivery pump needs. A closed enum with
+/// one match per call, so the per-message `enqueue`/`next_delivery` calls
+/// of the delivery loop are direct, inlinable branches.
+///
+/// The contract `Network` relies on:
+///
+/// * `enqueue` is infallible — a backend whose send can fail (sockets)
+///   defers the error and surfaces it from the next `next_delivery` call.
+/// * `next_delivery` yields envelopes in exactly the order they were
+///   enqueued, network-wide. The deterministic simulator and the TCP
+///   backend therefore dispatch identical sequences for the same seed.
+/// * Only the simulator carries a fault pipe (`take_pipe`/`restore_pipe`/
+///   `has_pipe`); the TCP backend never has one, and the pump paths are
+///   never entered for it.
 pub(crate) enum ActiveTransport {
     /// Deterministic in-memory delivery (the default).
     Sim(SimTransport),
@@ -213,73 +118,74 @@ pub(crate) enum ActiveTransport {
     Tcp(Box<crate::transport_tcp::TcpTransport>),
 }
 
-impl Transport for ActiveTransport {
+impl ActiveTransport {
+    /// Queues one envelope for delivery.
     #[inline]
-    fn enqueue(&mut self, p: Pending) {
+    pub(crate) fn enqueue(&mut self, p: Pending) {
         match self {
-            ActiveTransport::Sim(t) => t.enqueue(p),
+            ActiveTransport::Sim(t) => t.pending.push_back(p),
             ActiveTransport::Tcp(t) => t.enqueue(p),
         }
     }
 
+    /// Removes and returns the next envelope in network-global FIFO order.
+    /// **Never blocks**: `None` means either the queue is drained
+    /// ([`ActiveTransport::is_idle`] true) or the head envelope's payload
+    /// has not finished arriving yet (TCP; the driver calls
+    /// [`ActiveTransport::poll`] and retries). Deferred send errors surface
+    /// here.
     #[inline]
-    fn next_delivery(&mut self) -> Result<Option<Pending>> {
+    pub(crate) fn next_delivery(&mut self) -> Result<Option<Pending>> {
         match self {
-            ActiveTransport::Sim(t) => t.next_delivery(),
+            ActiveTransport::Sim(t) => Ok(t.pending.pop_front()),
             ActiveTransport::Tcp(t) => t.next_delivery(),
         }
     }
 
+    /// The explicit I/O progress hook: the TCP backend flushes queued
+    /// writes, accepts pending connections, and drains readable sockets.
+    /// With `block` set, the call may wait (bounded) for readiness. A no-op
+    /// for the simulator.
     #[inline]
-    fn poll(&mut self, block: bool) -> Result<()> {
+    pub(crate) fn poll(&mut self, block: bool) -> Result<()> {
         match self {
-            ActiveTransport::Sim(t) => t.poll(block),
+            ActiveTransport::Sim(_) => Ok(()),
             ActiveTransport::Tcp(t) => t.poll(block),
         }
     }
 
+    /// Whether no envelopes are queued (TCP: none in flight on the wires
+    /// either).
     #[inline]
-    fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         match self {
-            ActiveTransport::Sim(t) => t.is_idle(),
+            ActiveTransport::Sim(t) => t.pending.is_empty(),
             ActiveTransport::Tcp(t) => t.is_idle(),
         }
     }
 
-    fn take_pipe(&mut self) -> Option<Box<FaultPipe>> {
+    /// Detaches the fault-injection + reliable-delivery pipe so the pump
+    /// can run against `&mut Network`. `None` when no pipe is installed.
+    pub(crate) fn take_pipe(&mut self) -> Option<Box<FaultPipe>> {
         match self {
-            ActiveTransport::Sim(t) => t.take_pipe(),
-            ActiveTransport::Tcp(t) => t.take_pipe(),
+            ActiveTransport::Sim(t) => t.pipe.take(),
+            ActiveTransport::Tcp(_) => None,
         }
     }
 
-    fn restore_pipe(&mut self, pipe: Box<FaultPipe>) {
-        match self {
-            ActiveTransport::Sim(t) => t.restore_pipe(pipe),
-            ActiveTransport::Tcp(t) => t.restore_pipe(pipe),
+    /// Reattaches a pipe detached by [`ActiveTransport::take_pipe`] (which
+    /// only ever hands one out on the simulator).
+    pub(crate) fn restore_pipe(&mut self, pipe: Box<FaultPipe>) {
+        if let ActiveTransport::Sim(t) = self {
+            t.pipe = Some(pipe);
         }
     }
 
+    /// Whether a fault pipe is installed (drives the trace-id allocation
+    /// and the pump selection).
     #[inline]
-    fn has_pipe(&self) -> bool {
-        match self {
-            ActiveTransport::Sim(t) => t.has_pipe(),
-            ActiveTransport::Tcp(t) => t.has_pipe(),
-        }
-    }
-
-    fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {
-        match self {
-            ActiveTransport::Sim(t) => t.take_wire_bytes(),
-            ActiveTransport::Tcp(t) => t.take_wire_bytes(),
-        }
-    }
-
-    fn take_socket_stats(&mut self) -> Option<crate::transport_tcp::SocketStats> {
-        match self {
-            ActiveTransport::Sim(t) => t.take_socket_stats(),
-            ActiveTransport::Tcp(t) => t.take_socket_stats(),
-        }
+    pub(crate) fn has_pipe(&self) -> bool {
+        matches!(self, ActiveTransport::Sim(t) if t.pipe.is_some())
     }
 }
 
@@ -359,38 +265,10 @@ impl Network {
         for (id, msg) in targets {
             by_id.entry(id).or_default().push(msg);
         }
-        // On the perfect-delivery, untraced path, coalesce each delivery
-        // entry's consecutive run of messages into one `Bundle` envelope:
-        // the receiver unwraps in order, so global dispatch order is exactly
-        // the per-message order (the run sat consecutively at the queue head
-        // either way, and its handler effects join the queue *behind* it).
-        // The fault pipe must see logical messages individually (its RNG
-        // draws are per transmission) and the tracer emits one `MsgSend` per
-        // message, so both paths keep per-message enqueues.
-        let bundle = self.config.batch_delivery && !self.transport.has_pipe() && !self.trace_on();
         for (owner, ids) in outcome.deliveries {
-            if bundle {
-                let mut run: Vec<Message> = Vec::new();
-                let first = ids[0];
-                for id in ids {
-                    run.extend(by_id.remove(&id).into_iter().flatten());
-                }
-                match run.len() {
-                    0 => {}
-                    1 => {
-                        // Invariant: the match arm guarantees exactly one element.
-                        let msg = run.pop().expect("len checked");
-                        self.enqueue(Pending::new(node, owner, first, true, msg));
-                    }
-                    _ => {
-                        self.enqueue(Pending::new(node, owner, first, true, Message::Bundle(run)));
-                    }
-                }
-            } else {
-                for id in ids {
-                    for msg in by_id.remove(&id).into_iter().flatten() {
-                        self.enqueue(Pending::new(node, owner, id, true, msg));
-                    }
+            for id in ids {
+                for msg in by_id.remove(&id).into_iter().flatten() {
+                    self.enqueue(Pending::new(node, owner, id, true, msg));
                 }
             }
         }
@@ -511,10 +389,11 @@ impl Network {
                 // typed error instead of an infinite wait.
                 self.transport.poll(true)?;
             }
-            // Socket backends count real frame bytes as they write; fold
-            // whatever this drain produced into the per-kind counters.
-            if let Some(bytes) = self.transport.take_wire_bytes() {
-                for (kind, b) in bytes.into_iter().enumerate() {
+            // The TCP backend counts real frame bytes as it writes (the
+            // simulator sizes none on this path); fold whatever this drain
+            // produced into the per-kind counters.
+            if let ActiveTransport::Tcp(t) = &mut self.transport {
+                for (kind, b) in t.take_wire_bytes().into_iter().enumerate() {
                     self.metrics.faults.bytes_sent[kind] += b;
                 }
             }

@@ -13,9 +13,9 @@
 //!   read/write buffers — partial frames reassemble across reads, and a
 //!   full kernel send buffer parks the remaining bytes in userspace
 //!   (**write backpressure**) until the poller reports the socket writable;
-//! * [`Transport::poll`] is the explicit progress hook: it flushes
+//! * [`TcpTransport::poll`] is the explicit progress hook: it flushes
 //!   backpressured writers, accepts pending connections, and drains
-//!   readable sockets. [`Transport::next_delivery`] never blocks — it hands
+//!   readable sockets. [`TcpTransport::next_delivery`] never blocks — it hands
 //!   out the head envelope only once its frame has fully arrived, and the
 //!   driver (`Network::process_all`) calls `poll(block = true)` whenever
 //!   envelopes are outstanding but no frame is ready.
@@ -29,7 +29,7 @@
 //! by construction.
 //!
 //! Failure model: `enqueue` must be infallible (transport contract), so a
-//! send that fails parks the error and [`Transport::next_delivery`]
+//! send that fails parks the error and [`TcpTransport::next_delivery`]
 //! surfaces it as a typed [`EngineError::Protocol`]; messages enqueued
 //! while an error is parked are counted and the count is reported in the
 //! surfaced error. Frame/envelope **misalignment is detected, never
@@ -49,10 +49,9 @@ use cq_fasthash::FxHashMap;
 use cq_poll::{Event, Interest, Poller};
 
 use crate::error::{EngineError, Result};
-use crate::faults::FaultPipe;
 use crate::frames::{BufPool, ConnCounters, FrameConn, RawFrame};
 use crate::messages::Message;
-use crate::transport::{Pending, Transport};
+use crate::transport::Pending;
 use crate::wire;
 
 use cq_relational::Catalog;
@@ -62,15 +61,20 @@ use cq_relational::Catalog;
 /// carry (u64 LE).
 const HELLO_LEN: usize = 12;
 
-/// How long one blocking [`Transport::poll`] slice waits for readiness
+/// How long one blocking [`TcpTransport::poll`] slice waits for readiness
 /// before returning to the driver.
 const POLL_SLICE: Duration = Duration::from_millis(25);
+
+/// The coalesced-flush bound: `enqueue` only buffers frames, and the
+/// reactor flushes each connection once per poll — unless a connection's
+/// queued bytes reach this bound, which forces an immediate flush so
+/// userspace queueing (and therefore added latency) stays bounded.
+const MAX_COALESCE_BYTES: usize = 256 * 1024;
 
 /// Tuning knobs for the TCP backend — all optional; the defaults match
 /// production behavior and tests override them to force specific paths
 /// (tiny kernel buffers exercise backpressure, a short stall timeout makes
-/// deadlock tests fast, `max_coalesce_bytes: 0` restores eager
-/// flush-per-message for ordering-equivalence checks).
+/// deadlock tests fast).
 #[derive(Clone, Copy, Debug)]
 pub struct TcpOptions {
     /// Kernel send-buffer size (`SO_SNDBUF`) applied to every outgoing
@@ -84,14 +88,6 @@ pub struct TcpOptions {
     /// envelope's frame is outstanding before the run fails with a typed
     /// stall error (a lost frame would otherwise hang the drive loop).
     pub stall_timeout: Duration,
-    /// The coalesced-flush bound: `enqueue` only buffers frames, and the
-    /// reactor flushes each connection once per poll — unless a
-    /// connection's queued bytes reach this bound, which forces an
-    /// immediate flush so userspace queueing (and therefore added latency)
-    /// stays bounded. `0` disables coalescing entirely: every enqueue
-    /// flushes eagerly, one syscall per frame, exactly the pre-coalescing
-    /// behavior.
-    pub max_coalesce_bytes: usize,
 }
 
 impl Default for TcpOptions {
@@ -100,16 +96,14 @@ impl Default for TcpOptions {
             send_buffer: None,
             recv_buffer: None,
             stall_timeout: Duration::from_secs(10),
-            max_coalesce_bytes: 256 * 1024,
         }
     }
 }
 
-/// Aggregate socket-path statistics, drained `take_wire_bytes`-style via
-/// the transport's `take_socket_stats` hook (and surfaced as
-/// [`crate::Network::take_socket_stats`]). Connection tallies fold in here when a
-/// connection closes and when the stats are taken; pool counters come from
-/// the shared inbox [`BufPool`].
+/// Aggregate socket-path statistics, drained take-style by
+/// [`crate::Network::take_socket_stats`]. Connection tallies fold in here
+/// when a connection closes and when the stats are taken; pool counters
+/// come from the shared inbox [`BufPool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SocketStats {
     /// `writev` calls issued across all connections (including
@@ -136,7 +130,7 @@ pub struct SocketStats {
 
 impl SocketStats {
     /// Frames sent per write syscall — > 1 means flushes genuinely
-    /// coalesce (the eager-flush baseline is exactly 1 frame per write).
+    /// coalesce (flushing every frame on its own would be exactly 1).
     pub fn frames_per_flush(&self) -> f64 {
         if self.write_syscalls == 0 {
             return 0.0;
@@ -269,14 +263,14 @@ pub(crate) struct TcpTransport {
     dropped_after_error: u64,
     /// Exact stream bytes written per message kind ([`crate::messages::Message::KINDS`]
     /// order): the codec frame plus its 8-byte sequence header.
-    bytes_sent: [u64; 11],
+    bytes_sent: [u64; Message::KINDS.len()],
     /// Recycling pool for inbox frame buffers, shared across every
     /// connection: `read_frames` draws from it and `next_delivery` returns
     /// each frame after decoding, so steady-state inbox traffic allocates
     /// nothing.
     pool: BufPool,
     /// Aggregate socket statistics (closed connections fold in here; live
-    /// connection tallies are folded on [`Transport::take_socket_stats`]).
+    /// connection tallies are folded on [`TcpTransport::take_socket_stats`]).
     stats: SocketStats,
     /// Reusable poller event buffer.
     events: Vec<Event>,
@@ -329,7 +323,7 @@ impl TcpTransport {
             queue: VecDeque::new(),
             deferred: None,
             dropped_after_error: 0,
-            bytes_sent: [0; 11],
+            bytes_sent: [0; Message::KINDS.len()],
             pool: BufPool::new(),
             stats: SocketStats::default(),
             events: Vec::new(),
@@ -480,9 +474,8 @@ impl TcpTransport {
     /// stream's write queue (no scratch buffer, no memcpy) and applies the
     /// coalesced flush policy: the frame normally just buffers — the
     /// reactor flushes once per poll — but a queue at or past
-    /// `max_coalesce_bytes` (or any queueing at all when the bound is 0,
-    /// the eager mode) flushes immediately. Returns the exact stream bytes
-    /// queued: the codec frame plus its 8-byte sequence header.
+    /// [`MAX_COALESCE_BYTES`] flushes immediately. Returns the exact stream
+    /// bytes queued: the codec frame plus its 8-byte sequence header.
     fn enqueue_frame(&mut self, from: u32, to: u32, msg: &Message) -> Result<usize> {
         let idx = self.ensure_out(from, to)?;
         let seq = self.send_seq.entry((from, to)).or_insert(0);
@@ -493,15 +486,15 @@ impl TcpTransport {
         let appended = conn
             .fc
             .append_frame_with(frame_seq, |buf| wire::encode_message(msg, buf));
-        if conn.fc.queued_write_bytes() >= self.opts.max_coalesce_bytes {
+        if conn.fc.queued_write_bytes() >= MAX_COALESCE_BYTES {
             self.flush_conn(idx)?;
         }
         Ok(appended)
     }
 
-    /// Parks a transport error for [`Transport::next_delivery`] to surface
-    /// (only the first error is kept; later ones add to the drop count
-    /// through [`Transport::enqueue`]'s guard).
+    /// Parks a transport error for [`TcpTransport::next_delivery`] to
+    /// surface (only the first error is kept; later ones add to the drop
+    /// count through [`TcpTransport::enqueue`]'s guard).
     fn defer(&mut self, e: EngineError) {
         if self.deferred.is_none() {
             self.deferred = Some(e);
@@ -756,7 +749,7 @@ impl TcpTransport {
     /// [`POLL_SLICE`] when `block`), and service every event. Tracks
     /// consecutive empty blocking waits so a frame lost to a broken stream
     /// fails the run with a typed stall error instead of hanging it.
-    fn poll_reactor(&mut self, block: bool) -> Result<()> {
+    pub(crate) fn poll(&mut self, block: bool) -> Result<()> {
         if self.deferred.is_some() {
             return Ok(()); // next_delivery surfaces it first
         }
@@ -808,10 +801,15 @@ impl TcpTransport {
         }
         Ok(())
     }
-}
 
-impl Transport for TcpTransport {
-    fn enqueue(&mut self, p: Pending) {
+    // ==================================================================
+    // The transport surface `ActiveTransport` dispatches to
+    // ==================================================================
+
+    /// Encodes one envelope's message onto its stream and queues the
+    /// envelope metadata. Infallible: a failed send is parked and surfaces
+    /// from the next [`TcpTransport::next_delivery`].
+    pub(crate) fn enqueue(&mut self, p: Pending) {
         if self.deferred.is_some() {
             // The transport already failed; the error surfaces first and
             // reports how many messages were discarded behind it.
@@ -845,7 +843,9 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn next_delivery(&mut self) -> Result<Option<Pending>> {
+    /// Hands out the head envelope once its frame has fully arrived
+    /// (`None` while it is still in flight); never blocks.
+    pub(crate) fn next_delivery(&mut self) -> Result<Option<Pending>> {
         if let Some(e) = self.take_deferred() {
             return Err(e);
         }
@@ -876,31 +876,19 @@ impl Transport for TcpTransport {
         }))
     }
 
-    fn poll(&mut self, block: bool) -> Result<()> {
-        self.poll_reactor(block)
-    }
-
-    fn is_idle(&self) -> bool {
+    /// Whether no envelope is outstanding and no error is parked.
+    pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.deferred.is_none()
     }
 
-    fn take_pipe(&mut self) -> Option<Box<FaultPipe>> {
-        None
+    /// Drains the per-message-kind stream byte counters.
+    pub(crate) fn take_wire_bytes(&mut self) -> [u64; Message::KINDS.len()] {
+        std::mem::take(&mut self.bytes_sent)
     }
 
-    fn restore_pipe(&mut self, _pipe: Box<FaultPipe>) {
-        unreachable!("the TCP transport never hands out a fault pipe");
-    }
-
-    fn has_pipe(&self) -> bool {
-        false
-    }
-
-    fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {
-        Some(std::mem::take(&mut self.bytes_sent))
-    }
-
-    fn take_socket_stats(&mut self) -> Option<SocketStats> {
+    /// Drains the aggregate socket statistics, folding in the live
+    /// connections' tallies and the inbox pool counters.
+    pub(crate) fn take_socket_stats(&mut self) -> SocketStats {
         let mut stats = std::mem::take(&mut self.stats);
         for conn in self.conns.iter_mut().flatten() {
             stats.merge_conn(&conn.fc.take_counters());
@@ -908,6 +896,6 @@ impl Transport for TcpTransport {
         let (hits, misses) = self.pool.take_counters();
         stats.pool_hits += hits;
         stats.pool_misses += misses;
-        Some(stats)
+        stats
     }
 }

@@ -9,7 +9,7 @@
 //! ```text
 //! +----------------+-----------+------------------------+
 //! | length: u32 LE | version:  | payload                |
-//! | (of the rest)  | u8 (= 1)  | (tag-prefixed body)    |
+//! | (of the rest)  | u8 (= 2)  | (tag-prefixed body)    |
 //! +----------------+-----------+------------------------+
 //! ```
 //!
@@ -27,8 +27,8 @@
 //! * **Decoding never panics.** Every read is bounds-checked and every
 //!   malformed input — truncation, a bad tag, invalid UTF-8, an unknown
 //!   version, garbage trailing a payload — returns a typed
-//!   [`EngineError::Protocol`]. Recursive payloads (expressions, bundles)
-//!   are depth-limited so adversarial input cannot overflow the stack.
+//!   [`EngineError::Protocol`]. Recursive payloads (expressions) are
+//!   depth-limited so adversarial input cannot overflow the stack.
 //! * **Decoding re-validates.** Queries and tuples are rebuilt through
 //!   their validating constructors against the receiver's [`Catalog`], so a
 //!   frame that decodes successfully yields the same invariant-checked
@@ -38,7 +38,8 @@
 //! that sees an unknown version rejects the frame (there is exactly one
 //! version today). Any change to a body encoding — new variant, field, or
 //! width — must bump [`VERSION`]; readers never attempt cross-version
-//! decoding.
+//! decoding. Version 2 removed message tag 10 (the per-destination bundle
+//! envelope); a tag-10 body is now an invalid tag.
 
 use std::sync::Arc;
 
@@ -55,7 +56,7 @@ use crate::tables::{StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple}
 use crate::trace::TraceEvent;
 
 /// Wire-format version carried by every frame.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Upper bound on the framed length (version byte + payload) a reader will
 /// accept — rejects absurd lengths before allocating a receive buffer.
@@ -70,7 +71,7 @@ const BINOPS: [cq_relational::BinOp; 4] = [
 ];
 
 /// Maximum nesting depth accepted when decoding recursive payloads
-/// (expressions and bundles).
+/// (expressions).
 const MAX_DEPTH: u32 = 64;
 
 fn err(detail: impl Into<String>) -> EngineError {
@@ -646,20 +647,10 @@ fn put_message<S: Sink>(s: &mut S, m: &Message) {
             put_u32(s, *from);
             put_u64(s, *seq);
         }
-        Message::Bundle(members) => {
-            put_u8(s, 10);
-            put_u32(s, members.len() as u32);
-            for m in members {
-                put_message(s, m);
-            }
-        }
     }
 }
 
-fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Message> {
-    if depth > MAX_DEPTH {
-        return Err(err("bundle nesting exceeds the decoder depth limit"));
-    }
+fn get_message(r: &mut Reader<'_>, catalog: &Catalog) -> Result<Message> {
     match r.u8()? {
         0 => {
             let query = get_query(r, catalog)?;
@@ -738,14 +729,6 @@ fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Mess
             let seq = r.u64()?;
             Ok(Message::Pong { from, seq })
         }
-        10 => {
-            let n = r.count()?;
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(get_message(r, catalog, depth + 1)?);
-            }
-            Ok(Message::Bundle(members))
-        }
         t => Err(err(format!("invalid message tag {t}"))),
     }
 }
@@ -754,23 +737,10 @@ fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Mess
 // Trace-event bodies.
 // ---------------------------------------------------------------------------
 
-/// The interned `&'static str` vocabularies trace events carry. Decoding
-/// restores the static strings by table lookup; a string outside its table
-/// is a protocol error (the engine never emits one).
-const MESSAGE_KIND_LABELS: [&str; 11] = [
-    "query",
-    "al-index",
-    "vl-index",
-    "join",
-    "join-v",
-    "store-notify",
-    "notify",
-    "replicate",
-    "ping",
-    "pong",
-    "bundle",
-];
-
+/// The interned `&'static str` vocabularies trace events carry (message
+/// kinds come from [`Message::KINDS`]). Decoding restores the static
+/// strings by table lookup; a string outside its table is a protocol error
+/// (the engine never emits one).
 const TABLE_LABELS: [&str; 6] = ["alqt", "vlqt", "vltt", "vstore", "offline-store", "all"];
 
 const REASON_LABELS: [&str; 3] = ["fail", "leave", "transfer"];
@@ -830,7 +800,7 @@ fn put_trace_event<S: Sink>(s: &mut S, ev: &TraceEvent) {
             put_msg_id(s, *id);
             put_u32(s, *to);
             put_u64(s, target.0);
-            put_interned(s, &MESSAGE_KIND_LABELS, kind);
+            put_interned(s, &Message::KINDS, kind);
             match path {
                 None => put_u8(s, 0),
                 Some(p) => {
@@ -851,7 +821,7 @@ fn put_trace_event<S: Sink>(s: &mut S, ev: &TraceEvent) {
             put_u64(s, *tick);
             put_u32(s, *node);
             put_msg_id(s, *id);
-            put_interned(s, &MESSAGE_KIND_LABELS, kind);
+            put_interned(s, &Message::KINDS, kind);
         }
         TraceEvent::FaultDrop { tick, node, id }
         | TraceEvent::FaultDuplicate { tick, node, id }
@@ -1001,7 +971,7 @@ fn get_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
             let id = get_msg_id(r)?;
             let to = r.u32()?;
             let target = Id(r.u64()?);
-            let kind = get_interned(r, &MESSAGE_KIND_LABELS)?;
+            let kind = get_interned(r, &Message::KINDS)?;
             let path = match r.u8()? {
                 0 => None,
                 1 => {
@@ -1028,7 +998,7 @@ fn get_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
             tick: r.u64()?,
             node: r.u32()?,
             id: get_msg_id(r)?,
-            kind: get_interned(r, &MESSAGE_KIND_LABELS)?,
+            kind: get_interned(r, &Message::KINDS)?,
         },
         2 => TraceEvent::FaultDrop {
             tick: r.u64()?,
@@ -1232,7 +1202,7 @@ fn read_frame(buf: &[u8]) -> Result<(&[u8], usize)> {
 pub fn decode_message(buf: &[u8], catalog: &Catalog) -> Result<(Message, usize)> {
     let (payload, total) = read_frame(buf)?;
     let mut r = Reader::new(payload);
-    let msg = get_message(&mut r, catalog, 0)?;
+    let msg = get_message(&mut r, catalog)?;
     if r.remaining() != 0 {
         return Err(err(format!(
             "{} garbage bytes after the message payload",
@@ -1380,10 +1350,6 @@ mod tests {
             },
             Message::Ping { from: 3, seq: 9 },
             Message::Pong { from: 4, seq: 9 },
-            Message::Bundle(vec![
-                Message::Ping { from: 1, seq: 2 },
-                Message::Pong { from: 2, seq: 2 },
-            ]),
         ];
         for msg in &msgs {
             let back = roundtrip(msg, &c);

@@ -563,3 +563,75 @@ fn string_joins_work() {
         );
     }
 }
+
+/// The zero-clone kernels (in-place ALQT/VLQT/VLTT/value-store scans) must
+/// produce exactly the oracle's match set for every algorithm: plain and
+/// filtered T1 queries interleaved with tuples on both sides.
+#[test]
+fn zero_clone_kernels_match_oracle_for_all_algorithms() {
+    for alg in Algorithm::ALL {
+        let mut net = Network::new(
+            EngineConfig::new(alg).with_nodes(32).with_seed(7),
+            catalog(),
+        );
+        for n in 0..3 {
+            net.pose_query_sql(net.node_at(n), "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
+                .unwrap();
+        }
+        for v in 0..2 {
+            net.pose_query_sql(
+                net.node_at(3 + v as usize),
+                &format!("SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = {v}"),
+            )
+            .unwrap();
+        }
+        for i in 0..24i64 {
+            let from = net.node_at(5 + i as usize);
+            // Consecutive R/S pairs share a join value, so every query
+            // has matches to deliver.
+            let rel = if i % 2 == 0 { "R" } else { "S" };
+            let values = vec![Value::Int(i), Value::Int((i / 2) % 4), Value::Int(0)];
+            net.insert_tuple(from, rel, values).unwrap();
+        }
+        assert!(
+            !net.delivered_set().is_empty(),
+            "{alg}: workload must match"
+        );
+        check_against_oracle(&net);
+    }
+}
+
+/// T2 coverage of the zero-clone DAI-V path (arithmetic join condition —
+/// exercises `default_index_attr`'s random pick over the condition
+/// attributes and the value-store scan).
+#[test]
+fn zero_clone_dai_v_t2_matches_oracle() {
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::DaiV)
+            .with_nodes(32)
+            .with_seed(7),
+        catalog(),
+    );
+    let a = net.node_at(0);
+    net.pose_query_sql(
+        a,
+        "SELECT R.A, S.D FROM R, S WHERE 4*R.B + R.C + 8 = 5*S.E + S.D - S.F",
+    )
+    .unwrap();
+    for i in 0..12i64 {
+        let from = net.node_at((i as usize) % 32);
+        net.insert_tuple(
+            from,
+            "R",
+            vec![Value::Int(i), Value::Int(i % 3), Value::Int(i % 5)],
+        )
+        .unwrap();
+        net.insert_tuple(
+            from,
+            "S",
+            vec![Value::Int(i % 5), Value::Int(i % 3), Value::Int(i % 2)],
+        )
+        .unwrap();
+    }
+    check_against_oracle(&net);
+}

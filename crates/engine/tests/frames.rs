@@ -181,7 +181,6 @@ fn large_frames_backpressure_and_shrink_through_the_real_transport() {
         send_buffer: Some(4096),
         recv_buffer: Some(4096),
         stall_timeout: Duration::from_secs(30),
-        ..TcpOptions::default()
     })
     .expect("perfect-delivery config accepts the TCP transport");
     let poser = net.node_at(0);
@@ -374,57 +373,6 @@ fn pool_buffers_are_reused_and_large_ones_shrink() {
          (capacity {})",
         recycled.capacity()
     );
-}
-
-#[test]
-fn coalesced_and_eager_flush_deliver_identically() {
-    // The coalesced flush policy (buffer in enqueue, one vectored write per
-    // reactor drain) must be invisible to the protocol: a run with eager
-    // per-message flushes (max_coalesce_bytes: 0, PR 9's policy) and a run
-    // with the default coalescing bound must deliver the same notifications
-    // and count the same logical traffic and wire bytes.
-    let run = |coalesce: usize| {
-        let mut net = Network::new(
-            EngineConfig::new(Algorithm::DaiT)
-                .with_nodes(8)
-                .with_seed(5)
-                .with_retained_notifications(true),
-            catalog(),
-        );
-        net.enable_tcp_transport_with(TcpOptions {
-            max_coalesce_bytes: coalesce,
-            ..TcpOptions::default()
-        })
-        .expect("perfect-delivery config accepts the TCP transport");
-        let poser = net.node_at(0);
-        net.pose_query_sql(poser, "SELECT R.A, S.D FROM R, S WHERE R.B = S.C")
-            .unwrap();
-        net.pose_query_sql(net.node_at(3), "SELECT R.B, S.C FROM R, S WHERE R.A = S.C")
-            .unwrap();
-        for i in 0..30i64 {
-            net.insert_tuple(net.node_at(1), "R", vec![Value::Int(i), Value::Int(i % 7)])
-                .unwrap();
-            net.insert_tuple(
-                net.node_at(2),
-                "S",
-                vec![Value::Int(i % 7), Value::Str(format!("s{i}"))],
-            )
-            .unwrap();
-        }
-        let m = net.metrics();
-        let total = m.total_traffic();
-        (
-            net.delivered_set(),
-            m.notifications_delivered,
-            total.messages,
-            total.hops,
-            m.faults.total_bytes_sent(),
-        )
-    };
-    let eager = run(0);
-    let coalesced = run(TcpOptions::default().max_coalesce_bytes);
-    assert!(eager.1 > 0, "the workload must deliver notifications");
-    assert_eq!(eager, coalesced, "flush policy leaked into the protocol");
 }
 
 #[test]

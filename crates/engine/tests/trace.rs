@@ -1,12 +1,13 @@
-//! The structured tracing layer observed end to end: JSONL round-trips,
-//! causal ordering invariants, and DAI-V's two-phase value-hop path
-//! reconstructed event by event from the trace alone.
+//! The structured tracing layer observed end to end: trace files that
+//! reproduce the in-memory event stream in both formats, causal ordering
+//! invariants, and DAI-V's two-phase value-hop path reconstructed event by
+//! event from the trace alone.
 
 use std::sync::Arc;
 
 use cq_engine::{
-    Algorithm, BinarySummarySink, EngineConfig, FaultConfig, JsonlSink, Network, RingBufferSink,
-    TeeSink, TraceEvent,
+    Algorithm, EngineConfig, FaultConfig, FileSink, Network, RingBufferSink, TeeSink, TraceEvent,
+    TraceFormat,
 };
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
@@ -97,12 +98,32 @@ fn ordering_invariants_hold_for_every_algorithm_under_faults() {
     }
 }
 
-#[test]
-fn jsonl_file_round_trips_the_in_memory_event_stream() {
-    let path =
-        std::env::temp_dir().join(format!("cq-trace-roundtrip-{}.jsonl", std::process::id()));
+/// Runs the lossy DAI-Q workload with a [`RingBufferSink`] and one
+/// [`FileSink`] per `formats` entry teed together, and returns the
+/// in-memory events plus each file's bytes.
+fn traced_run(name: &str, formats: &[TraceFormat]) -> (Vec<TraceEvent>, Vec<Vec<u8>>) {
     let ring = Arc::new(RingBufferSink::new(1 << 20));
-    let jsonl = Arc::new(JsonlSink::create(&path).unwrap());
+    let paths: Vec<_> = formats
+        .iter()
+        .map(|f| {
+            std::env::temp_dir().join(format!(
+                "cq-trace-{name}-{}.{}",
+                std::process::id(),
+                f.extension()
+            ))
+        })
+        .collect();
+    let files: Vec<Arc<FileSink>> = paths
+        .iter()
+        .zip(formats)
+        .map(|(p, f)| Arc::new(FileSink::create(p, *f).unwrap()))
+        .collect();
+    let mut sinks: Vec<Arc<dyn cq_engine::TraceSink>> = vec![ring.clone()];
+    sinks.extend(
+        files
+            .iter()
+            .map(|f| f.clone() as Arc<dyn cq_engine::TraceSink>),
+    );
     let mut net = Network::new(
         EngineConfig::new(Algorithm::DaiQ)
             .with_nodes(16)
@@ -110,55 +131,50 @@ fn jsonl_file_round_trips_the_in_memory_event_stream() {
             .with_fault(FaultConfig::lossy(0.15, 99)),
         catalog(),
     );
-    net.set_tracer(Arc::new(TeeSink::new(vec![ring.clone(), jsonl.clone()])));
+    net.set_tracer(Arc::new(TeeSink::new(sinks)));
     stream(&mut net);
-    jsonl.flush().unwrap();
-
-    let text = std::fs::read_to_string(&path).unwrap();
-    let parsed: Vec<TraceEvent> = text
-        .lines()
-        .map(|line| {
-            TraceEvent::parse_jsonl(line)
-                .unwrap_or_else(|| panic!("unparseable trace line: {line}"))
+    let bytes = files
+        .iter()
+        .zip(&paths)
+        .map(|(f, p)| {
+            f.flush().unwrap();
+            let b = std::fs::read(p).unwrap();
+            std::fs::remove_file(p).ok();
+            b
         })
         .collect();
-    std::fs::remove_file(&path).ok();
+    (ring.events(), bytes)
+}
 
-    // The file is a faithful serialization: parsing it back yields exactly
-    // the events the in-memory sink saw, in order.
-    assert_eq!(parsed, ring.events());
-    check_ordering(&parsed, "parsed JSONL");
+#[test]
+fn jsonl_file_round_trips_the_in_memory_event_stream() {
+    let (events, files) = traced_run("roundtrip", &[TraceFormat::Jsonl]);
+    let text = String::from_utf8(files[0].clone()).unwrap();
+    // The file is a faithful rendering: line i is exactly the JSONL of the
+    // i-th event the in-memory sink saw.
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), events.len());
+    for (line, ev) in lines.iter().zip(&events) {
+        let mut want = String::new();
+        ev.to_jsonl(&mut want);
+        assert_eq!(*line, want);
+    }
+    check_ordering(&events, "traced run");
 }
 
 #[test]
 fn binary_trace_dumps_back_to_byte_identical_jsonl() {
-    // The same run streams into a JSONL sink and the buffered binary sink;
-    // converting the binary file the way `trace_dump` does (decode each
-    // wire frame, re-serialize with `to_jsonl`) must reproduce the JSONL
-    // file byte for byte — the writer's batching is invisible on disk.
-    let pid = std::process::id();
-    let jsonl_path = std::env::temp_dir().join(format!("cq-trace-bin-rt-{pid}.jsonl"));
-    let bin_path = std::env::temp_dir().join(format!("cq-trace-bin-rt-{pid}.trace"));
-    let jsonl = Arc::new(JsonlSink::create(&jsonl_path).unwrap());
-    let binary = Arc::new(BinarySummarySink::create(&bin_path).unwrap());
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::DaiQ)
-            .with_nodes(16)
-            .with_seed(7)
-            .with_fault(FaultConfig::lossy(0.15, 99)),
-        catalog(),
-    );
-    net.set_tracer(Arc::new(TeeSink::new(vec![jsonl.clone(), binary.clone()])));
-    stream(&mut net);
-    jsonl.flush().unwrap();
-    binary.flush().unwrap();
-
-    let expected = std::fs::read_to_string(&jsonl_path).unwrap();
-    let bytes = std::fs::read(&bin_path).unwrap();
-    std::fs::remove_file(&jsonl_path).ok();
-    std::fs::remove_file(&bin_path).ok();
+    // The same run streams into a JSONL file and a binary file; decoding
+    // the binary file the way `trace_dump` does yields exactly the events
+    // the in-memory sink saw, and re-serializing them with `to_jsonl`
+    // reproduces the JSONL file byte for byte — the writer's batching is
+    // invisible on disk.
+    let (events, files) = traced_run("bin-rt", &[TraceFormat::Jsonl, TraceFormat::Binary]);
+    let expected = String::from_utf8(files[0].clone()).unwrap();
+    let bytes = &files[1];
     assert!(!bytes.is_empty(), "binary trace must not be empty");
 
+    let mut decoded = Vec::with_capacity(events.len());
     let mut dumped = String::with_capacity(expected.len());
     let mut pos = 0usize;
     while pos < bytes.len() {
@@ -167,7 +183,12 @@ fn binary_trace_dumps_back_to_byte_identical_jsonl() {
         pos += used;
         ev.to_jsonl(&mut dumped);
         dumped.push('\n');
+        decoded.push(ev);
     }
+    assert_eq!(
+        decoded, events,
+        "binary file diverged from the event stream"
+    );
     assert!(
         dumped == expected,
         "binary round-trip diverged from the JSONL file"

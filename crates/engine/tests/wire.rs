@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const MESSAGE_VARIANTS: usize = 11;
+const MESSAGE_VARIANTS: usize = Message::KINDS.len();
 const TRACE_VARIANTS: usize = 20;
 
 fn catalog() -> Catalog {
@@ -267,36 +267,16 @@ fn rand_message(variant: usize, rng: &mut StdRng, c: &Catalog) -> Message {
             from: rng.gen(),
             seq: rng.gen(),
         },
-        9 => Message::Pong {
+        _ => Message::Pong {
             from: rng.gen(),
             seq: rng.gen(),
         },
-        _ => Message::Bundle(
-            (0..rng.gen_range(0..4usize))
-                .map(|_| {
-                    let inner = rng.gen_range(0..10usize); // bundles never nest
-                    rand_message(inner, rng, c)
-                })
-                .collect(),
-        ),
     }
 }
 
 /// A random trace event of the given variant (`variant` ∈
 /// `0..TRACE_VARIANTS`, in [`TraceEvent::kind_index`] order).
 fn rand_trace_event(variant: usize, rng: &mut StdRng) -> TraceEvent {
-    const KINDS: [&str; 10] = [
-        "query",
-        "al-index",
-        "vl-index",
-        "join",
-        "join-v",
-        "store-notify",
-        "notify",
-        "replicate",
-        "ping",
-        "pong",
-    ];
     const TABLES: [&str; 6] = ["alqt", "vlqt", "vltt", "vstore", "offline-store", "all"];
     const REASONS: [&str; 3] = ["fail", "leave", "transfer"];
     let tick = rng.gen_range(0..1u64 << 40);
@@ -309,7 +289,7 @@ fn rand_trace_event(variant: usize, rng: &mut StdRng) -> TraceEvent {
             id,
             to: rng.gen_range(0..10_000),
             target: Id(rng.gen()),
-            kind: KINDS[rng.gen_range(0..KINDS.len())],
+            kind: Message::KINDS[rng.gen_range(0..Message::KINDS.len())],
             path: if rng.gen_bool(0.5) {
                 Some((0..rng.gen_range(0..6usize)).map(|_| rng.gen()).collect())
             } else {
@@ -320,7 +300,7 @@ fn rand_trace_event(variant: usize, rng: &mut StdRng) -> TraceEvent {
             tick,
             node,
             id,
-            kind: KINDS[rng.gen_range(0..KINDS.len())],
+            kind: Message::KINDS[rng.gen_range(0..Message::KINDS.len())],
         },
         2 => TraceEvent::FaultDrop { tick, node, id },
         3 => TraceEvent::FaultDuplicate { tick, node, id },

@@ -19,8 +19,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use cq_engine::TraceFormat;
 use cq_sim::experiments::{all, Scale};
-use cq_sim::TraceFormat;
 
 fn parse_trace_format(s: &str) -> TraceFormat {
     match s {

@@ -24,6 +24,6 @@ pub mod report;
 pub mod stats;
 
 pub use cq_engine::{FaultConfig, FaultCounters, TraceEvent, TraceSummary};
-pub use harness::{run, set_trace_dir, set_trace_format, RunConfig, RunResult, TraceFormat};
+pub use harness::{run, set_trace_dir, set_trace_format, RunConfig, RunResult};
 pub use parallel::{run_many, set_jobs};
 pub use report::Report;
